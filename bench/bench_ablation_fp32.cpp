@@ -6,13 +6,6 @@
  * error and termination — the fidelity check that FP32 hardware can
  * carry the algorithm at the paper's tolerances (cuOSQP made the same
  * choice on the GPU).
- *
- * Alongside the simulated ablation, each problem is also solved with
- * the native mixed-precision PCG backend (fp32-storage /
- * fp64-accumulate inner sweeps inside fp64 iterative refinement, the
- * ExecutionConfig::precision knob), so the simulated fp32 iteration
- * counts sit next to the native mixed iterations and refinement-sweep
- * totals for the same instances.
  */
 
 #include "bench_util.hpp"
@@ -35,14 +28,8 @@ main(int argc, char** argv)
     settings.epsRel = 1e-3;
     settings.pcg.epsRel = 1e-6;
 
-    OsqpSettings native_mixed = settings;
-    native_mixed.execution.precision = PrecisionMode::MixedFp32;
-
-    std::string last_backend = "admm";
     TextTable table({"problem", "domain", "fp64_iters", "fp32_iters",
-                     "mixed_iters", "refine_sweeps", "fp64_rescues",
-                     "fp64_status", "fp32_status", "obj_rel_err",
-                     "mixed_rel_err"});
+                     "fp64_status", "fp32_status", "obj_rel_err"});
     for (const ProblemSpec& spec :
          benchmarkSuite(options.sizesPerDomain)) {
         const QpProblem qp = spec.generate();
@@ -60,35 +47,18 @@ main(int argc, char** argv)
         RsqpSolver fp32(qp, settings, cfg32);
         const RsqpResult r32 = fp32.solve();
 
-        // Native mixed-precision PCG on the host, same tolerances.
-        OsqpSolver mixed_solver(qp, native_mixed);
-        const OsqpResult mixed = mixed_solver.solve();
-        if (!mixed.info.telemetry.backend.empty())
-            last_backend = mixed.info.telemetry.backend;
-
         const Real rel_err =
             std::abs(r32.objective - r64.objective) /
-            (1.0 + std::abs(r64.objective));
-        const Real mixed_rel_err =
-            std::abs(mixed.info.objective - r64.objective) /
             (1.0 + std::abs(r64.objective));
         table.addRow({spec.name, toString(spec.domain),
                       std::to_string(r64.iterations),
                       std::to_string(r32.iterations),
-                      std::to_string(mixed.info.iterations),
-                      std::to_string(mixed.info.refinementSweepsTotal),
-                      std::to_string(mixed.info.fp64Rescues),
                       statusToString(r64.status), statusToString(r32.status),
-                      formatSci(rel_err, 1),
-                      formatSci(mixed_rel_err, 1)});
+                      formatSci(rel_err, 1)});
     }
     emitTable(table, options,
-              "FP32 vs FP64 datapath (simulated accelerator) and "
-              "native mixed-precision PCG [backend=" +
-                  last_backend + "]");
+              "FP32 vs FP64 datapath on the simulated accelerator");
     std::cout << "the FP32 MAC trees reach the paper's default "
-                 "tolerances with iteration counts close to FP64; "
-                 "the native mixed-precision PCG matches the fp64 "
-                 "objective through iterative refinement\n";
+                 "tolerances with iteration counts close to FP64\n";
     return 0;
 }

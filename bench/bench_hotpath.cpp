@@ -1,22 +1,20 @@
 /**
  * @file
- * Hot-path profile of the indirect (PCG) backend, three sweeps over
- * the largest generated suite problem:
+ * Hot-path profile of the indirect (PCG) backend, two sweeps over the
+ * largest generated suite problem:
  *
  *  1. threads  — wall clock and per-phase profiler counters at each
  *     thread count (SpMV passes, fused CG updates, preconditioner,
  *     reductions), with the bitwise-determinism cross-check;
  *  2. ISA      — single-thread solve at every supported kernel level
  *     (scalar → AVX2 → AVX-512) via simd::forceIsaLevel, with the
- *     per-phase scalar-vs-SIMD speedups derived from the counters;
- *  3. precision — fp64 vs mixed-fp32 (fp32-storage / fp64-accumulate
- *     PCG inside iterative refinement) at the default ISA level.
+ *     per-phase scalar-vs-SIMD speedups derived from the counters.
  *
  * The JSON output is the CI perf-smoke artifact (committed snapshot:
- * results/BENCH_hotpath.json). The legacy top-level keys (problem, n,
- * m, nnz, seed, runs) are stable; the header also carries the
- * detected/compiled/active ISA levels and the precision mode, and the
- * new sweeps land in "isa_runs" / "simd_speedup" / "precision_runs".
+ * results/BENCH_hotpath.json). The top-level keys (problem, n, m, nnz,
+ * seed, runs) are stable; the header also carries the
+ * detected/compiled/active ISA levels, and the ISA sweep lands in
+ * "isa_runs" / "simd_speedup".
  *
  * Flags:
  *   --quick         smaller problem / fewer reps (CI smoke)
@@ -102,16 +100,13 @@ parseOptions(int argc, char** argv)
     return options;
 }
 
-/** One measured solve (fixed thread count, ISA level or precision). */
+/** One measured solve (fixed thread count or ISA level). */
 struct Run
 {
     Index threads = 1;
     double solveSeconds = 0.0;
     double kktSeconds = 0.0;
     Count pcgIterations = 0;
-    Index admmIterations = 0;
-    Count refinementSweeps = 0;
-    Count fp64Rescues = 0;
     Real objective = 0.0;
     double speedup = 1.0;
     HotPathProfile hotPath;
@@ -143,9 +138,6 @@ measureSolve(const QpProblem& qp, const OsqpSettings& settings,
             run.solveSeconds = seconds;
             run.kktSeconds = result.info.kktSolveTime;
             run.pcgIterations = result.info.pcgIterationsTotal;
-            run.admmIterations = result.info.iterations;
-            run.refinementSweeps = result.info.refinementSweepsTotal;
-            run.fp64Rescues = result.info.fp64Rescues;
             run.objective = result.info.objective;
             run.hotPath = result.info.hotPath;
             run.backend = result.info.telemetry.backend;
@@ -245,16 +237,6 @@ main(int argc, char** argv)
     const Run& isa_scalar = isa_runs.front();
     const Run& isa_best = isa_runs.back();
 
-    // Sweep 3: fp64 vs mixed-fp32 at the default ISA level, 1 thread.
-    std::vector<Run> precision_runs;
-    {
-        NumThreadsScope scope(1);
-        precision_runs.push_back(measureSolve(qp, settings, reps));
-        OsqpSettings mixed = settings;
-        mixed.execution.precision = PrecisionMode::MixedFp32;
-        precision_runs.push_back(measureSolve(qp, mixed, reps));
-    }
-
     const std::string isa_detected = isaLevelName(detectedIsaLevel());
     const std::string isa_compiled = isaLevelName(compiledIsaLevel());
     const std::string isa_active =
@@ -273,8 +255,6 @@ main(int argc, char** argv)
                   << "  \"isa_compiled\": \"" << isa_compiled
                   << "\",\n"
                   << "  \"isa_active\": \"" << isa_active << "\",\n"
-                  << "  \"precision\": \""
-                  << precisionModeName(PrecisionMode::Fp64) << "\",\n"
                   << "  \"backend\": \""
                   << bench::jsonEscape(runs.front().backend) << "\",\n"
                   << "  \"runs\": [\n";
@@ -338,29 +318,7 @@ main(int argc, char** argv)
                          phaseMs(isa_best.hotPath,
                                  ProfilePhase::Reduction)),
                    3)
-            << "},\n"
-            << "  \"precision_runs\": [\n";
-        for (std::size_t i = 0; i < precision_runs.size(); ++i) {
-            const Run& run = precision_runs[i];
-            const PrecisionMode mode = i == 0
-                                           ? PrecisionMode::Fp64
-                                           : PrecisionMode::MixedFp32;
-            std::cout << "    {\"precision\": \""
-                      << precisionModeName(mode)
-                      << "\", \"solve_seconds\": "
-                      << formatDouble(run.solveSeconds, 6)
-                      << ", \"admm_iterations\": "
-                      << run.admmIterations
-                      << ", \"pcg_iterations\": " << run.pcgIterations
-                      << ", \"refinement_sweeps\": "
-                      << run.refinementSweeps
-                      << ", \"fp64_rescues\": " << run.fp64Rescues
-                      << ", \"objective\": "
-                      << formatDouble(run.objective, 9) << "}"
-                      << (i + 1 < precision_runs.size() ? "," : "")
-                      << "\n";
-        }
-        std::cout << "  ]\n}\n";
+            << "}\n}\n";
         return 0;
     }
 
@@ -418,23 +376,5 @@ main(int argc, char** argv)
                  2)});
     }
     isa_table.print(std::cout);
-
-    std::cout << "\n# precision sweep (1 thread, default ISA)\n";
-    TextTable prec_table({"precision", "solve_s", "admm_iters",
-                          "pcg_iters", "refine_sweeps", "fp64_rescues",
-                          "objective"});
-    for (std::size_t i = 0; i < precision_runs.size(); ++i) {
-        const Run& run = precision_runs[i];
-        prec_table.addRow(
-            {precisionModeName(i == 0 ? PrecisionMode::Fp64
-                                      : PrecisionMode::MixedFp32),
-             formatDouble(run.solveSeconds, 6),
-             std::to_string(run.admmIterations),
-             std::to_string(run.pcgIterations),
-             std::to_string(run.refinementSweeps),
-             std::to_string(run.fp64Rescues),
-             formatDouble(run.objective, 9)});
-    }
-    prec_table.print(std::cout);
     return 0;
 }

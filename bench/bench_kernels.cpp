@@ -461,9 +461,6 @@ main(int argc, char** argv)
                                 isaLevelName(compiledIsaLevel()));
     benchmark::AddCustomContext("rsqp_isa_active",
                                 isaLevelName(simd::activeIsaLevel()));
-    benchmark::AddCustomContext(
-        "rsqp_precision_default",
-        precisionModeName(PrecisionMode::Fp64));
     for (IsaLevel level : supportedIsaLevels())
         registerForcedIsaBenchmarks(level);
     benchmark::Initialize(&argc, argv);

@@ -380,8 +380,6 @@ PdhgSolver::solve()
     info.iterations = 0;
     info.rhoUpdates = 0;
     info.pcgIterationsTotal = 0;
-    info.refinementSweepsTotal = 0;
-    info.fp64Rescues = 0;
     info.hotPath = HotPathProfile{};
     info.recovery = RecoveryReport{};
     info.telemetry = SolveTelemetry{};
@@ -785,7 +783,6 @@ PdhgSolver::solve()
     tele.pcgIterationsTotal = 0;
     tele.pcgItersPerSolve = 0.0;
     tele.isaLevel = isaLevelName(simd::activeIsaLevel());
-    tele.precision = precisionModeName(PrecisionMode::Fp64);
     tele.recoveryEvents =
         static_cast<Count>(info.recovery.events.size());
     tele.faultsInjected = faultInjector_ != nullptr

@@ -7,6 +7,9 @@
  * had to be kept in sync by hand. PR 5 collapsed them onto this
  * struct behind deprecated forwarding aliases; the aliases are now
  * removed and every consumer reads execution.numThreads directly.
+ * The thread count is the only knob: the host PCG runs in fp64 alone,
+ * and the paper's fp32 datapath is a simulated-device setting
+ * (CustomizeSettings::fp32Datapath).
  */
 
 #ifndef RSQP_COMMON_EXECUTION_HPP
@@ -16,28 +19,6 @@
 
 namespace rsqp
 {
-
-/**
- * Numeric precision of the PCG hot path.
- *
- * Fp64 runs the inner linear solves entirely in double. MixedFp32
- * stores the operator and iterate vectors in fp32 (the precision of
- * the paper's FPGA MAC trees) and accumulates reductions in fp64,
- * wrapped in an fp64 iterative-refinement loop so the returned
- * solution meets the same fp64 tolerance as the pure-double path.
- */
-enum class PrecisionMode : int
-{
-    Fp64 = 0,
-    MixedFp32 = 1,
-};
-
-/** Printable precision-mode name ("fp64" / "mixed-fp32"). */
-inline const char*
-precisionModeName(PrecisionMode mode)
-{
-    return mode == PrecisionMode::MixedFp32 ? "mixed-fp32" : "fp64";
-}
 
 /** Execution-resource configuration shared by all solve paths. */
 struct ExecutionConfig
@@ -49,9 +30,6 @@ struct ExecutionConfig
      * changes wall clock, never the deterministic reduction order.
      */
     Index numThreads = 0;
-
-    /** Numeric precision of the PCG inner solves. */
-    PrecisionMode precision = PrecisionMode::Fp64;
 };
 
 } // namespace rsqp

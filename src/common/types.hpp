@@ -33,9 +33,6 @@ using ArchReal = float;
 /** Dense vector of solver scalars. */
 using Vector = std::vector<Real>;
 
-/** Dense fp32 vector for the mixed-precision PCG storage mirrors. */
-using FloatVector = std::vector<ArchReal>;
-
 /** Dense vector of indices. */
 using IndexVector = std::vector<Index>;
 

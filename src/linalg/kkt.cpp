@@ -394,8 +394,6 @@ ReducedKktOperator::setRho(const Vector& rho_vec)
     RSQP_ASSERT(rho_vec.size() == rhoVec_.size(), "rho length change");
     rhoVec_ = rho_vec;  // copy-assign: reuses the existing capacity
     rebuildDiagonal();
-    if (fp32Enabled_)
-        refreshFp32Rho();
 }
 
 void
@@ -425,99 +423,6 @@ ReducedKktOperator::refreshValues()
 
     rebuildDiagonalBase();
     rebuildDiagonal();
-    if (fp32Enabled_)
-        refreshFp32Values();
-}
-
-void
-ReducedKktOperator::enableFp32Mirror()
-{
-    fp32Enabled_ = true;
-    refreshFp32Values();
-    refreshFp32Rho();
-    scratchM32_.resize(static_cast<std::size_t>(a_->rows()));
-}
-
-void
-ReducedKktOperator::refreshFp32Values()
-{
-    pVals32_.resize(pVals_.size());
-    for (std::size_t p = 0; p < pVals_.size(); ++p)
-        pVals32_[p] = static_cast<float>(pVals_[p]);
-    aVals32_.resize(aVals_.size());
-    for (std::size_t p = 0; p < aVals_.size(); ++p)
-        aVals32_[p] = static_cast<float>(aVals_[p]);
-    const auto& a_csc = a_->values();
-    aCscVals32_.resize(a_csc.size());
-    for (std::size_t p = 0; p < a_csc.size(); ++p)
-        aCscVals32_[p] = static_cast<float>(a_csc[p]);
-}
-
-void
-ReducedKktOperator::refreshFp32Rho()
-{
-    rho32_.resize(rhoVec_.size());
-    for (std::size_t i = 0; i < rhoVec_.size(); ++i)
-        rho32_[i] = static_cast<float>(rhoVec_[i]);
-}
-
-void
-ReducedKktOperator::applyFp32(const FloatVector& x, FloatVector& y) const
-{
-    RSQP_ASSERT(fp32Enabled_, "applyFp32 without enableFp32Mirror");
-    const Index n = pUpper_->cols();
-    const Index m = a_->rows();
-    RSQP_ASSERT(static_cast<Index>(x.size()) == n, "applyFp32: x size");
-    y.resize(static_cast<std::size_t>(n));
-    scratchM32_.resize(static_cast<std::size_t>(m));
-    const auto sigma32 = static_cast<float>(sigma_);
-
-    const simd::VectorKernels& k = simd::activeKernels();
-    {
-        ProfileScope profile(ProfilePhase::SpmvA);
-        parallelForRange(m, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = aRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    aRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                scratchM32_[static_cast<std::size_t>(r)] =
-                    rho32_[static_cast<std::size_t>(r)] *
-                    k.csrRowGatherF32(aVals32_.data() + begin,
-                                      aColIdx_.data() + begin, nnz,
-                                      x.data());
-            }
-        });
-    }
-    {
-        ProfileScope profile(ProfilePhase::SpmvP);
-        parallelForRange(n, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = pRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    pRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                y[static_cast<std::size_t>(r)] =
-                    k.csrRowGatherF32(pVals32_.data() + begin,
-                                      pColIdx_.data() + begin, nnz,
-                                      x.data()) +
-                    sigma32 * x[static_cast<std::size_t>(r)];
-            }
-        });
-    }
-    {
-        ProfileScope profile(ProfilePhase::SpmvAt);
-        const auto& col_ptr = a_->colPtr();
-        const auto& row_idx = a_->rowIdx();
-        parallelForRange(n, [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c) {
-                const Index begin = col_ptr[c];
-                y[static_cast<std::size_t>(c)] +=
-                    k.csrRowGatherF32(aCscVals32_.data() + begin,
-                                      row_idx.data() + begin,
-                                      col_ptr[c + 1] - begin,
-                                      scratchM32_.data());
-            }
-        });
-    }
 }
 
 } // namespace rsqp

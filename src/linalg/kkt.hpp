@@ -97,12 +97,7 @@ class KktAssembler
  * (no separate length-m sweep). Each row reduces through the SIMD
  * kernel table's canonical 8-lane striped order, which is fixed per
  * row, so results are also bitwise-identical across dispatched ISA
- * levels.
- *
- * An optional fp32 mirror (enableFp32Mirror) shadows the P/A value
- * arrays in single precision for the mixed-precision PCG inner solve:
- * applyFp32() is the same three-pass row-gather over fp32 storage.
- * The mirrors track setRho()/refreshValues() automatically.
+ * levels. Values, vectors and accumulators are all fp64.
  *
  * Slot maps recorded at construction let refreshValues() re-read
  * updated P/A values in place (same sparsity pattern), and the
@@ -144,23 +139,6 @@ class ReducedKktOperator
      */
     void refreshValues();
 
-    /**
-     * Build (or rebuild) the fp32 shadow of the P/A value arrays and
-     * rho vector for applyFp32(). Idempotent; after the first call the
-     * mirrors follow setRho() and refreshValues() automatically.
-     */
-    void enableFp32Mirror();
-
-    /** Whether the fp32 mirror has been built. */
-    bool fp32MirrorEnabled() const { return fp32Enabled_; }
-
-    /**
-     * y = K x on the fp32 mirror — same three row-gather passes as
-     * apply(), with fp32 storage and fp32 accumulation (the simulated
-     * datapath's MAC precision). Requires enableFp32Mirror().
-     */
-    void applyFp32(const FloatVector& x, FloatVector& y) const;
-
     Real sigma() const { return sigma_; }
     const Vector& rhoVec() const { return rhoVec_; }
     Index dim() const { return pUpper_->cols(); }
@@ -170,8 +148,6 @@ class ReducedKktOperator
     void buildAMirror();
     void rebuildDiagonalBase();
     void rebuildDiagonal();
-    void refreshFp32Values();
-    void refreshFp32Rho();
 
     const CscMatrix* pUpper_;
     const CscMatrix* a_;
@@ -201,14 +177,6 @@ class ReducedKktOperator
     Vector diagBase_;
     /// Cached diagonal of K for the current rho.
     Vector diag_;
-
-    /// fp32 mirror state for the mixed-precision inner solve.
-    bool fp32Enabled_ = false;
-    FloatVector pVals32_;    ///< fp32 shadow of pVals_ (full CSR image)
-    FloatVector aVals32_;    ///< fp32 shadow of aVals_ (CSR mirror)
-    FloatVector aCscVals32_; ///< fp32 shadow of A's CSC values (At pass)
-    FloatVector rho32_;      ///< fp32 shadow of rhoVec_
-    mutable FloatVector scratchM32_; ///< fp32 length-m scratch
 };
 
 } // namespace rsqp

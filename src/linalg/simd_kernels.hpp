@@ -2,6 +2,7 @@
  * @file
  * Runtime-dispatched SIMD kernel table for the PCG hot path.
  *
+ * Every kernel is fp64 — storage, elementwise math and accumulation.
  * Three implementations of every range kernel ship in the binary —
  * portable scalar, AVX2 and AVX-512 — compiled in separate translation
  * units with matching target flags and selected once at startup from
@@ -37,12 +38,8 @@ namespace rsqp::simd
 /**
  * Function table of the vectorized range kernels. Raw-pointer + length
  * signatures so the chunked reduction driver can hand each fixed-grain
- * chunk straight to the active ISA without a virtual call.
- *
- * The fp64 entries mirror the fused kernels of linalg/vector_ops; the
- * F32 entries are the fp32-storage / fp64-accumulate variants of the
- * mixed-precision PCG mode (elementwise math in fp32, every dot
- * product accumulated in fp64).
+ * chunk straight to the active ISA without a virtual call. The entries
+ * mirror the fused fp64 kernels of linalg/vector_ops.
  */
 struct VectorKernels
 {
@@ -69,22 +66,6 @@ struct VectorKernels
     /** sum vals[p] * x[cols[p]] — one CSR row of a gather SpMV. */
     Real (*csrRowGather)(const Real* vals, const Index* cols, Index nnz,
                          const Real* x);
-
-    /** fp64-accumulated sum x[i] * y[i] over fp32 storage. */
-    Real (*dotRangeF32)(const float* x, const float* y, Index n);
-    /** fp32 x += alpha p, r -= alpha kp; fp64-accumulated sum r[i]^2. */
-    Real (*xMinusAlphaPDotRangeF32)(float alpha, const float* p,
-                                    float* x, const float* kp, float* r,
-                                    Index n);
-    /** fp32 d = inv_diag .* r; fp64-accumulated sum r[i] * d[i]. */
-    Real (*precondApplyDotRangeF32)(const float* inv_diag,
-                                    const float* r, float* d, Index n);
-    /** fp32 out = alpha x + beta y (out may alias x or y). */
-    void (*axpbyRangeF32)(float alpha, const float* x, float beta,
-                          const float* y, float* out, Index n);
-    /** fp32 CSR row gather: sum vals[p] * x[cols[p]] in fp32. */
-    float (*csrRowGatherF32)(const float* vals, const Index* cols,
-                             Index nnz, const float* x);
 };
 
 /**

@@ -23,8 +23,6 @@ namespace rsqp::simd
 namespace
 {
 
-struct PackF;
-
 struct PackD
 {
     __m256d lo; ///< lanes 0..3
@@ -121,15 +119,6 @@ struct PackD
                 _mm256_mask_i32gather_pd(src, base, i1, mask, 8)};
     }
 
-    static PackD
-    loadF32(const float* p)
-    {
-        return {_mm256_cvtps_pd(_mm_loadu_ps(p)),
-                _mm256_cvtps_pd(_mm_loadu_ps(p + 4))};
-    }
-
-    static PackD fromPackF(PackF f);
-
     /** Canonical halving tree: (i, i+4), then (i, i+2), then the pair. */
     static Real
     reduceAdd(PackD a)
@@ -149,80 +138,6 @@ struct PackD
         return _mm_cvtsd_f64(_mm_max_sd(_mm_unpackhi_pd(q, q), q));
     }
 };
-
-struct PackF
-{
-    __m256 v;
-
-    static PackF
-    zero()
-    {
-        return {_mm256_setzero_ps()};
-    }
-
-    static PackF
-    load(const float* p)
-    {
-        return {_mm256_loadu_ps(p)};
-    }
-
-    static void
-    store(float* p, PackF a)
-    {
-        _mm256_storeu_ps(p, a.v);
-    }
-
-    static PackF
-    broadcast(float x)
-    {
-        return {_mm256_set1_ps(x)};
-    }
-
-    static PackF
-    add(PackF a, PackF b)
-    {
-        return {_mm256_add_ps(a.v, b.v)};
-    }
-
-    static PackF
-    sub(PackF a, PackF b)
-    {
-        return {_mm256_sub_ps(a.v, b.v)};
-    }
-
-    static PackF
-    mul(PackF a, PackF b)
-    {
-        return {_mm256_mul_ps(a.v, b.v)};
-    }
-
-    static PackF
-    gather(const float* base, const Index* idx)
-    {
-        const __m256i vi =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-        return {_mm256_mask_i32gather_ps(
-            _mm256_setzero_ps(), base, vi,
-            _mm256_castsi256_ps(_mm256_set1_epi32(-1)), 4)};
-    }
-
-    static float
-    reduceAdd(PackF a)
-    {
-        const __m128 m = _mm_add_ps(_mm256_castps256_ps128(a.v),
-                                    _mm256_extractf128_ps(a.v, 1));
-        const __m128 q = _mm_add_ps(m, _mm_movehl_ps(m, m));
-        return _mm_cvtss_f32(
-            _mm_add_ss(q, _mm_shuffle_ps(q, q, 0x1)));
-    }
-};
-
-inline PackD
-PackD::fromPackF(PackF f)
-{
-    return {_mm256_cvtps_pd(_mm256_castps256_ps128(f.v)),
-            _mm256_cvtps_pd(_mm256_extractf128_ps(f.v, 1))};
-}
 
 #include "simd_kernels_body.ipp"
 

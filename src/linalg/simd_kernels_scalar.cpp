@@ -1,7 +1,7 @@
 /**
  * @file
- * Portable scalar instantiation of the kernel body: 8 explicit fp64 /
- * fp32 lanes in plain arrays, same striped accumulation and halving
+ * Portable scalar instantiation of the kernel body: 8 explicit fp64
+ * lanes in a plain array, same striped accumulation and halving
  * tree as the SIMD packs. This is the bitwise reference every vector
  * table is tested against, and the only table on non-x86 builds.
  * Compiled with -ffp-contract=off so no lane ever fuses mul+add.
@@ -16,8 +16,6 @@ namespace rsqp::simd
 
 namespace
 {
-
-struct PackF;
 
 struct PackD
 {
@@ -118,17 +116,6 @@ struct PackD
         return v;
     }
 
-    static PackD
-    loadF32(const float* p)
-    {
-        PackD v;
-        for (int j = 0; j < 8; ++j)
-            v.l[j] = static_cast<Real>(p[j]);
-        return v;
-    }
-
-    static PackD fromPackF(PackF f);
-
     /** Canonical halving tree: (i, i+4), then (i, i+2), then the pair. */
     static Real
     reduceAdd(PackD a)
@@ -154,99 +141,6 @@ struct PackD
         return q1 > q0 ? q1 : q0;
     }
 };
-
-struct PackF
-{
-    float l[8];
-
-    static PackF
-    zero()
-    {
-        return PackF{{0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f}};
-    }
-
-    static PackF
-    load(const float* p)
-    {
-        PackF v;
-        for (int j = 0; j < 8; ++j)
-            v.l[j] = p[j];
-        return v;
-    }
-
-    static void
-    store(float* p, PackF v)
-    {
-        for (int j = 0; j < 8; ++j)
-            p[j] = v.l[j];
-    }
-
-    static PackF
-    broadcast(float x)
-    {
-        PackF v;
-        for (int j = 0; j < 8; ++j)
-            v.l[j] = x;
-        return v;
-    }
-
-    static PackF
-    add(PackF a, PackF b)
-    {
-        PackF v;
-        for (int j = 0; j < 8; ++j)
-            v.l[j] = a.l[j] + b.l[j];
-        return v;
-    }
-
-    static PackF
-    sub(PackF a, PackF b)
-    {
-        PackF v;
-        for (int j = 0; j < 8; ++j)
-            v.l[j] = a.l[j] - b.l[j];
-        return v;
-    }
-
-    static PackF
-    mul(PackF a, PackF b)
-    {
-        PackF v;
-        for (int j = 0; j < 8; ++j)
-            v.l[j] = a.l[j] * b.l[j];
-        return v;
-    }
-
-    static PackF
-    gather(const float* base, const Index* idx)
-    {
-        PackF v;
-        for (int j = 0; j < 8; ++j)
-            v.l[j] = base[static_cast<std::size_t>(idx[j])];
-        return v;
-    }
-
-    static float
-    reduceAdd(PackF a)
-    {
-        const float m0 = a.l[0] + a.l[4];
-        const float m1 = a.l[1] + a.l[5];
-        const float m2 = a.l[2] + a.l[6];
-        const float m3 = a.l[3] + a.l[7];
-        const float q0 = m0 + m2;
-        const float q1 = m1 + m3;
-        return q0 + q1;
-    }
-};
-
-inline PackD
-PackD::fromPackF(PackF f)
-{
-    PackD v;
-    for (int j = 0; j < 8; ++j)
-        v.l[j] = static_cast<Real>(f.l[j]);
-    return v;
-}
 
 #include "simd_kernels_body.ipp"
 

@@ -380,116 +380,4 @@ constantVector(Index n, Real value)
     return Vector(static_cast<std::size_t>(n), value);
 }
 
-namespace
-{
-
-inline void
-checkSameSizeF32(const FloatVector& x, const FloatVector& y,
-                 const char* what)
-{
-    RSQP_ASSERT(x.size() == y.size(), what, ": size mismatch ", x.size(),
-                " vs ", y.size());
-}
-
-} // namespace
-
-Real
-dotF32(const FloatVector& x, const FloatVector& y)
-{
-    checkSameSizeF32(x, y, "dotF32");
-    ProfileScope profile(ProfilePhase::Reduction);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(x.size())) {
-        return chunkedSum(static_cast<Index>(x.size()),
-                          [&](Index b, Index e) {
-                              return k.dotRangeF32(x.data() + b,
-                                                   y.data() + b, e - b);
-                          });
-    }
-    return k.dotRangeF32(x.data(), y.data(),
-                         static_cast<Index>(x.size()));
-}
-
-Real
-xMinusAlphaPDotF32(Real alpha, const FloatVector& p, FloatVector& x,
-                   const FloatVector& kp, FloatVector& r)
-{
-    checkSameSizeF32(p, x, "xMinusAlphaPDotF32");
-    checkSameSizeF32(p, kp, "xMinusAlphaPDotF32");
-    checkSameSizeF32(p, r, "xMinusAlphaPDotF32");
-    ProfileScope profile(ProfilePhase::FusedVectorOps);
-    const auto a32 = static_cast<float>(alpha);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(p.size())) {
-        return chunkedSum(static_cast<Index>(p.size()),
-                          [&](Index b, Index e) {
-                              return k.xMinusAlphaPDotRangeF32(
-                                  a32, p.data() + b, x.data() + b,
-                                  kp.data() + b, r.data() + b, e - b);
-                          });
-    }
-    return k.xMinusAlphaPDotRangeF32(a32, p.data(), x.data(), kp.data(),
-                                     r.data(),
-                                     static_cast<Index>(p.size()));
-}
-
-Real
-precondApplyDotF32(const FloatVector& inv_diag, const FloatVector& r,
-                   FloatVector& d)
-{
-    checkSameSizeF32(inv_diag, r, "precondApplyDotF32");
-    checkSameSizeF32(r, d, "precondApplyDotF32");
-    ProfileScope profile(ProfilePhase::Precond);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (chunkedReduction(r.size())) {
-        return chunkedSum(static_cast<Index>(r.size()),
-                          [&](Index b, Index e) {
-                              return k.precondApplyDotRangeF32(
-                                  inv_diag.data() + b, r.data() + b,
-                                  d.data() + b, e - b);
-                          });
-    }
-    return k.precondApplyDotRangeF32(inv_diag.data(), r.data(), d.data(),
-                                     static_cast<Index>(r.size()));
-}
-
-void
-axpbyF32(Real alpha, const FloatVector& x, Real beta,
-         const FloatVector& y, FloatVector& out)
-{
-    checkSameSizeF32(x, y, "axpbyF32");
-    out.resize(x.size());
-    ProfileScope profile(ProfilePhase::FusedVectorOps);
-    const auto a32 = static_cast<float>(alpha);
-    const auto b32 = static_cast<float>(beta);
-    const simd::VectorKernels& k = simd::activeKernels();
-    if (parallelWorthwhile(x.size())) {
-        ThreadPool::global().parallelFor(
-            0, static_cast<Index>(x.size()), kParallelGrain,
-            [&](Index b, Index e) {
-                k.axpbyRangeF32(a32, x.data() + b, b32, y.data() + b,
-                                out.data() + b, e - b);
-            });
-        return;
-    }
-    k.axpbyRangeF32(a32, x.data(), b32, y.data(), out.data(),
-                    static_cast<Index>(x.size()));
-}
-
-void
-castToF32(const Vector& x, FloatVector& out)
-{
-    out.resize(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] = static_cast<float>(x[i]);
-}
-
-void
-widenF32(const FloatVector& x, Vector& out)
-{
-    out.resize(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] = static_cast<Real>(x[i]);
-}
-
 } // namespace rsqp

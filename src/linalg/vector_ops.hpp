@@ -118,41 +118,6 @@ Real normInfChecked(const Vector& x);
 /** Constant vector helper. */
 Vector constantVector(Index n, Real value);
 
-// ---------------------------------------------------------------------
-// fp32-storage kernels of the mixed-precision PCG mode. Elementwise
-// math runs in fp32 (the simulated datapath's MAC precision); every
-// reduction accumulates in fp64 through the same fixed-grain chunking
-// as the fp64 kernels, so the inner solve is deterministic across
-// thread counts and ISA levels too.
-// ---------------------------------------------------------------------
-
-/** fp64-accumulated dot product over fp32 storage. */
-Real dotF32(const FloatVector& x, const FloatVector& y);
-
-/**
- * Fused fp32 CG iterate update: x += alpha p and r -= alpha kp in
- * fp32, returning the fp64-accumulated dot(r, r).
- */
-Real xMinusAlphaPDotF32(Real alpha, const FloatVector& p, FloatVector& x,
-                        const FloatVector& kp, FloatVector& r);
-
-/**
- * Fused fp32 Jacobi apply: d = inv_diag .* r in fp32, returning the
- * fp64-accumulated dot(r, d).
- */
-Real precondApplyDotF32(const FloatVector& inv_diag, const FloatVector& r,
-                        FloatVector& d);
-
-/** fp32 out = alpha x + beta y (out may alias x or y). */
-void axpbyF32(Real alpha, const FloatVector& x, Real beta,
-              const FloatVector& y, FloatVector& out);
-
-/** Round a fp64 vector into fp32 storage (out resized to match). */
-void castToF32(const Vector& x, FloatVector& out);
-
-/** Widen fp32 storage back to fp64 (out resized to match). */
-void widenF32(const FloatVector& x, Vector& out);
-
 } // namespace rsqp
 
 #endif // RSQP_LINALG_VECTOR_OPS_HPP

@@ -96,21 +96,9 @@ OsqpSolver::rebuildKktSolver()
         break;
       case KktBackend::IndirectPcg:
         kkt_ = std::make_unique<IndirectKktSolver>(
-            scaled_.pUpper, scaled_.a, sigmaEff_, rhoVec_,
-            effectivePcgSettings());
+            scaled_.pUpper, scaled_.a, sigmaEff_, rhoVec_, settings_.pcg);
         break;
     }
-}
-
-PcgSettings
-OsqpSolver::effectivePcgSettings() const
-{
-    // The execution-level precision knob enables mixed precision even
-    // when the caller never touched the nested PcgSettings.
-    PcgSettings pcg = settings_.pcg;
-    if (settings_.execution.precision == PrecisionMode::MixedFp32)
-        pcg.precision = PrecisionMode::MixedFp32;
-    return pcg;
 }
 
 bool
@@ -346,8 +334,6 @@ OsqpSolver::solve()
     info.iterations = 0;
     info.rhoUpdates = 0;
     info.pcgIterationsTotal = 0;
-    info.refinementSweepsTotal = 0;
-    info.fp64Rescues = 0;
     info.hotPath = HotPathProfile{};
     info.recovery = RecoveryReport{};
     info.telemetry = SolveTelemetry{};
@@ -496,9 +482,6 @@ OsqpSolver::solve()
         kkt_timer.stop();
         ++info.telemetry.kktSolves;
         info.pcgIterationsTotal += kstats.pcgIterations;
-        info.refinementSweepsTotal += kstats.refinementSweeps;
-        if (kstats.fp64Rescue)
-            ++info.fp64Rescues;
         if (kstats.usedFallback) {
             info.recovery.record(RecoveryAction::PcgDirectFallback, iter,
                                  toString(kstats.pcgBreakdown));
@@ -717,12 +700,6 @@ OsqpSolver::solve()
             static_cast<Real>(tele.kktSolves)
         : 0.0;
     tele.isaLevel = isaLevelName(simd::activeIsaLevel());
-    tele.precision = precisionModeName(
-        settings_.backend == KktBackend::IndirectPcg
-            ? effectivePcgSettings().precision
-            : PrecisionMode::Fp64);
-    tele.refinementSweeps = info.refinementSweepsTotal;
-    tele.fp64Rescues = info.fp64Rescues;
     tele.recoveryEvents =
         static_cast<Count>(info.recovery.events.size());
     tele.faultsInjected = faultInjector_ != nullptr
@@ -740,9 +717,6 @@ OsqpSolver::solve()
         static telemetry::Counter& pcg_iterations = registry.counter(
             "rsqp_admm_pcg_iterations_total",
             "Inner PCG iterations executed");
-        static telemetry::Counter& refinement_sweeps = registry.counter(
-            "rsqp_admm_refinement_sweeps_total",
-            "fp64 iterative-refinement sweeps of mixed-precision PCG");
         static telemetry::Counter& rho_updates = registry.counter(
             "rsqp_admm_rho_updates_total", "Adaptive-rho refactors");
         static telemetry::Counter& recoveries = registry.counter(
@@ -754,8 +728,6 @@ OsqpSolver::solve()
         iterations.add(static_cast<std::uint64_t>(info.iterations));
         pcg_iterations.add(
             static_cast<std::uint64_t>(info.pcgIterationsTotal));
-        refinement_sweeps.add(
-            static_cast<std::uint64_t>(info.refinementSweepsTotal));
         rho_updates.add(static_cast<std::uint64_t>(info.rhoUpdates));
         recoveries.add(
             static_cast<std::uint64_t>(tele.recoveryEvents));

@@ -118,9 +118,6 @@ class OsqpSolver
     void buildRhoVec(Real rho_bar);
     void rebuildKktSolver();
 
-    /** PcgSettings with the execution-level precision knob applied. */
-    PcgSettings effectivePcgSettings() const;
-
     /** Unscaled residuals + tolerances; fills the four outputs. */
     void computeResiduals(const Vector& x, const Vector& y,
                           const Vector& z, Real& prim_res, Real& dual_res,

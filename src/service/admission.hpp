@@ -86,8 +86,7 @@ enum class WarmStartPolicy
 
 /**
  * Everything a client can say about one request, in one struct — the
- * single options surface of submitAsync()/submit()/solve(). The old
- * positional-deadline overloads forward here and are deprecated.
+ * single options surface of submitAsync()/submit()/solve().
  */
 struct SubmitOptions
 {

@@ -34,12 +34,6 @@ struct KktSolveStats
     bool refactorized = false; ///< direct backend only
     bool usedFallback = false; ///< PCG broke down; LDL' solved the step
     PcgBreakdown pcgBreakdown = PcgBreakdown::None;
-    /// fp64 refinement sweeps (mixed-precision indirect backend only).
-    Index refinementSweeps = 0;
-    /// This step ran the fp32-storage inner path.
-    bool usedMixedPrecision = false;
-    /// Mixed mode stalled; a full-fp64 PCG solve finished the step.
-    bool fp64Rescue = false;
     /// Cumulative hot-path counters through this solve (indirect
     /// backend with PcgSettings::profile only; zeros otherwise).
     HotPathProfile hotPath;
@@ -180,7 +174,6 @@ class IndirectKktSolver : public KktSolver
     Vector warmX_;     ///< previous solution for warm starting
     Vector reducedRhs_;
     PcgWorkspace pcgWorkspace_;  ///< persistent CG vectors (no realloc)
-    MixedPcgWorkspace mixedWorkspace_;  ///< mixed-precision mode only
     HotPathProfiler profiler_;   ///< active while this solver solves
     Index lastPcgIters_ = 0;
     Count totalPcgIters_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
@@ -181,125 +180,6 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
     return result;
 }
 
-/**
- * One fp32 CG sweep on K e = r, with e starting at zero. Storage and
- * elementwise math are fp32 (the simulated datapath's MAC precision);
- * every reduction accumulates in fp64 through the dispatched kernels.
- * Stops when the inner residual has shrunk by settings.mixedInnerEpsRel
- * relative to its start — fp32 storage cannot go much further anyway;
- * the fp64 refinement loop around this closes the remaining gap.
- *
- * @return iterations run, or -1 on breakdown (caller rescues in fp64).
- */
-Index
-mixedInnerSweep(const ReducedKktOperator& op, const PcgSettings& settings,
-                MixedPcgWorkspace& ws, Index max_iters)
-{
-    const Real r0_rr = dotF32(ws.r32, ws.r32);
-    const Real stop_rr = r0_rr * settings.mixedInnerEpsRel *
-        settings.mixedInnerEpsRel;
-
-    std::fill(ws.e32.begin(), ws.e32.end(), 0.0f);
-    Real rd = precondApplyDotF32(ws.invDiag32, ws.r32, ws.d32);
-    std::copy(ws.d32.begin(), ws.d32.end(), ws.p32.begin());
-
-    Index iters = 0;
-    for (; iters < max_iters; ++iters) {
-        op.applyFp32(ws.p32, ws.kp32);
-        const Real pkp = dotF32(ws.p32, ws.kp32);
-        if (!std::isfinite(pkp) || pkp <= 0.0)
-            return iters == 0 ? -1 : iters;
-        const Real lambda = rd / pkp;
-        const Real rr =
-            xMinusAlphaPDotF32(lambda, ws.p32, ws.e32, ws.kp32, ws.r32);
-        if (!std::isfinite(rr))
-            return -1;
-        if (rr < stop_rr) {
-            ++iters;
-            break;
-        }
-        const Real rd_next = precondApplyDotF32(ws.invDiag32, ws.r32,
-                                                ws.d32);
-        if (rd_next <= 0.0 || !std::isfinite(rd_next))
-            return iters + 1;
-        const Real mu = rd_next / rd;
-        rd = rd_next;
-        {
-            ProfileScope profile(ProfilePhase::FusedVectorOps);
-            axpbyF32(1.0, ws.d32, mu, ws.p32, ws.p32);
-        }
-    }
-    return iters;
-}
-
-PcgResult
-pcgSolveMixedImpl(const ReducedKktOperator& op,
-                  const JacobiPreconditioner& precond, const Vector& b,
-                  Vector& x, const PcgSettings& settings,
-                  MixedPcgWorkspace& ws)
-{
-    RSQP_ASSERT(op.fp32MirrorEnabled(),
-                "pcgSolveMixed needs enableFp32Mirror() on the operator");
-    const std::size_t n = b.size();
-    RSQP_ASSERT(x.size() == n, "pcg: x size mismatch");
-    ws.resize(n);
-
-    PcgResult result;
-    result.usedMixedPrecision = true;
-    const Real b_norm = norm2(b);
-    const Real threshold =
-        std::max(settings.epsAbs, settings.epsRel * b_norm);
-    castToF32(precond.inverseDiagonal(), ws.invDiag32);
-
-    const auto rescue = [&](PcgResult partial) {
-        PcgResult fixed = pcgSolveImpl(
-            [&op](const Vector& in, Vector& out) { op.apply(in, out); },
-            precond, b, x, settings, ws.rescue);
-        fixed.iterations += partial.iterations;
-        fixed.refinementSweeps = partial.refinementSweeps;
-        fixed.usedMixedPrecision = true;
-        fixed.fp64Rescue = true;
-        return fixed;
-    };
-
-    Real prev_r_norm = std::numeric_limits<Real>::infinity();
-    for (Index sweep = 0; sweep <= settings.maxRefinementSweeps;
-         ++sweep) {
-        // fp64 truth: r64 = b - K x, judged against the same threshold
-        // as the pure-double path.
-        op.apply(x, ws.r64);
-        axpby(1.0, b, -1.0, ws.r64, ws.r64);
-        const Real r_norm = norm2(ws.r64);
-        if (!std::isfinite(r_norm))
-            return rescue(result);
-        result.residualNorm = r_norm;
-        if (r_norm < threshold) {
-            result.converged = true;
-            return result;
-        }
-        // Refinement must shrink the fp64 residual geometrically; a
-        // sweep that recovers less than ~10x means fp32 has hit its
-        // representational floor for this system — finish in fp64.
-        if (r_norm > 0.5 * prev_r_norm || sweep == settings.maxRefinementSweeps)
-            return rescue(result);
-        prev_r_norm = r_norm;
-
-        const Index budget = settings.maxIter - result.iterations;
-        if (budget <= 0)
-            return rescue(result);
-        castToF32(ws.r64, ws.r32);
-        ++result.refinementSweeps;
-        const Index inner = mixedInnerSweep(op, settings, ws, budget);
-        if (inner < 0)
-            return rescue(result);
-        result.iterations += inner;
-        // x += e (widened): the only fp64 write of the sweep.
-        widenF32(ws.e32, ws.e64);
-        axpy(1.0, ws.e64, x);
-    }
-    return rescue(result);
-}
-
 } // namespace
 
 PcgResult
@@ -337,24 +217,6 @@ pcgSolve(const ReducedKktOperator& op, const JacobiPreconditioner& precond,
     return pcgSolveImpl(
         [&op](const Vector& in, Vector& out) { op.apply(in, out); },
         precond, b, x, settings, workspace);
-}
-
-PcgResult
-pcgSolveMixed(const ReducedKktOperator& op,
-              const JacobiPreconditioner& precond, const Vector& b,
-              Vector& x, const PcgSettings& settings,
-              MixedPcgWorkspace& workspace)
-{
-    return pcgSolveMixedImpl(op, precond, b, x, settings, workspace);
-}
-
-PcgResult
-pcgSolveMixed(const ReducedKktOperator& op,
-              const JacobiPreconditioner& precond, const Vector& b,
-              Vector& x, const PcgSettings& settings)
-{
-    MixedPcgWorkspace workspace;
-    return pcgSolveMixedImpl(op, precond, b, x, settings, workspace);
 }
 
 } // namespace rsqp

@@ -6,7 +6,9 @@
  * Jacobi (diagonal) preconditioner diag(K), the choice used by both
  * cuOSQP and RSQP. The loop structure matches the paper line by line so
  * the architecture program lowering (src/arch/program_builder) can be
- * validated against this reference.
+ * validated against this reference. Vectors, operator and reductions
+ * are all fp64; the paper's fp32 MAC trees are modeled by the
+ * simulated datapath (ArchConfig::fp32Datapath).
  */
 
 #ifndef RSQP_SOLVERS_PCG_HPP
@@ -14,7 +16,6 @@
 
 #include <functional>
 
-#include "common/execution.hpp"
 #include "common/types.hpp"
 #include "linalg/kkt.hpp"
 
@@ -82,26 +83,6 @@ struct PcgSettings
      * clock reads per instrumented kernel call.
      */
     bool profile = true;
-
-    /**
-     * Precision of the inner iterations. MixedFp32 runs fp32-storage /
-     * fp64-accumulate CG sweeps inside an fp64 iterative-refinement
-     * loop (pcgSolveMixed); the convergence test stays the fp64
-     * residual, so the returned solution meets the same tolerance as
-     * the Fp64 path. Only the ReducedKktOperator overloads honor this
-     * — the generic std::function overloads always run Fp64.
-     */
-    PrecisionMode precision = PrecisionMode::Fp64;
-
-    /**
-     * Inner fp32 CG sweeps stop at this relative residual reduction
-     * (fp32 storage can't push much below ~1e-5 anyway); refinement
-     * then re-measures in fp64 and re-solves on the new residual.
-     */
-    Real mixedInnerEpsRel = 1e-4;
-
-    /** Cap on fp64 refinement sweeps before declaring stagnation. */
-    Index maxRefinementSweeps = 40;
 };
 
 /** Why a PCG solve gave up before converging. */
@@ -119,17 +100,10 @@ const char* toString(PcgBreakdown breakdown);
 /** Outcome of a PCG solve. */
 struct PcgResult
 {
-    Index iterations = 0;     ///< PCG iterations executed (all sweeps)
+    Index iterations = 0;     ///< PCG iterations executed
     Real residualNorm = 0.0;  ///< final ||K x - b||_2
     bool converged = false;
     PcgBreakdown breakdown = PcgBreakdown::None;
-
-    /// fp64 refinement sweeps run (mixed-precision mode only).
-    Index refinementSweeps = 0;
-    /// Whether the fp32 inner path produced this solution.
-    bool usedMixedPrecision = false;
-    /// Mixed mode stalled and a full-fp64 solve finished the job.
-    bool fp64Rescue = false;
 };
 
 /**
@@ -185,39 +159,6 @@ struct PcgWorkspace
 };
 
 /**
- * Work vectors of a mixed-precision PCG solve: fp32 CG state for the
- * inner sweeps plus fp64 residual/correction vectors for refinement.
- * Owned by the caller so the steady-state loop allocates nothing.
- */
-struct MixedPcgWorkspace
-{
-    FloatVector r32;       ///< fp32 inner residual
-    FloatVector d32;       ///< fp32 preconditioned residual
-    FloatVector p32;       ///< fp32 search direction
-    FloatVector kp32;      ///< fp32 operator image
-    FloatVector e32;       ///< fp32 correction iterate
-    FloatVector invDiag32; ///< fp32 Jacobi inverse diagonal
-    Vector r64;            ///< fp64 outer residual b - K x
-    Vector e64;            ///< widened correction
-    PcgWorkspace rescue;   ///< fp64 workspace for the rescue solve
-
-    /** Size every vector for an n-dimensional solve. */
-    void
-    resize(std::size_t n)
-    {
-        r32.resize(n);
-        d32.resize(n);
-        p32.resize(n);
-        kp32.resize(n);
-        e32.resize(n);
-        invDiag32.resize(n);
-        r64.resize(n);
-        e64.resize(n);
-        rescue.resize(n);
-    }
-};
-
-/**
  * Run PCG on K x = b starting from x (warm start), overwriting x with
  * the solution. The workspace overloads reuse the caller's vectors;
  * the workspace-free overloads allocate a transient one per call.
@@ -244,27 +185,6 @@ PcgResult pcgSolve(
     const std::function<void(const Vector&, Vector&)>& apply_k,
     const JacobiPreconditioner& precond, const Vector& b, Vector& x,
     const PcgSettings& settings);
-
-/**
- * Mixed-precision solve of K x = b: fp32-storage / fp64-accumulate CG
- * sweeps (on the operator's fp32 mirror — enableFp32Mirror() must have
- * been called) inside an fp64 iterative-refinement loop. Convergence
- * is judged on the fp64 residual against the same epsRel/epsAbs
- * thresholds as pcgSolve, so a converged result is as accurate as the
- * pure-fp64 path. If refinement stalls (fp32 can't reduce the
- * residual further) or an inner sweep breaks down, the remaining gap
- * is closed by a full-fp64 pcgSolve rescue (result.fp64Rescue).
- */
-PcgResult pcgSolveMixed(const ReducedKktOperator& op,
-                        const JacobiPreconditioner& precond,
-                        const Vector& b, Vector& x,
-                        const PcgSettings& settings,
-                        MixedPcgWorkspace& workspace);
-
-PcgResult pcgSolveMixed(const ReducedKktOperator& op,
-                        const JacobiPreconditioner& precond,
-                        const Vector& b, Vector& x,
-                        const PcgSettings& settings);
 
 } // namespace rsqp
 

@@ -37,10 +37,7 @@ SolveTelemetry::toJson() const
        << ",\"pcg_iterations_total\":" << pcgIterationsTotal
        << ",\"pcg_iters_per_solve\":" << pcgItersPerSolve
        << ",\"isa_level\":\"" << isaLevel
-       << "\",\"precision\":\"" << precision
-       << "\",\"refinement_sweeps\":" << refinementSweeps
-       << ",\"fp64_rescues\":" << fp64Rescues
-       << ",\"recovery_events\":" << recoveryEvents
+       << "\",\"recovery_events\":" << recoveryEvents
        << ",\"faults_injected\":" << faultsInjected
        << ",\"route\":\"" << toString(route)
        << "\",\"queue_wait_seconds\":" << queueWaitSeconds

@@ -79,15 +79,6 @@ struct SolveTelemetry
      *  "avx512"). */
     std::string isaLevel;
 
-    /** PCG precision mode of the solve ("fp64" / "mixed-fp32"). */
-    std::string precision;
-
-    /** fp64 iterative-refinement sweeps (mixed-precision mode only). */
-    Count refinementSweeps = 0;
-
-    /** KKT steps where mixed precision stalled and fp64 rescued. */
-    Count fp64Rescues = 0;
-
     /** Last <= kResidualTailCapacity residual checks, oldest first. */
     std::vector<ResidualSample> residualTail;
 

@@ -42,12 +42,5 @@ TEST(ExecutionConfig, ArchConfigReadThrough)
     EXPECT_EQ(config.resolvedNumThreads(), 6);
 }
 
-TEST(ExecutionConfig, PrecisionModeNames)
-{
-    EXPECT_STREQ(precisionModeName(PrecisionMode::Fp64), "fp64");
-    EXPECT_STREQ(precisionModeName(PrecisionMode::MixedFp32),
-                 "mixed-fp32");
-}
-
 } // namespace
 } // namespace rsqp

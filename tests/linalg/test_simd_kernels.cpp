@@ -45,14 +45,6 @@ bits(Real x)
     return u;
 }
 
-std::uint32_t
-bits32(float x)
-{
-    std::uint32_t u;
-    std::memcpy(&u, &x, sizeof(u));
-    return u;
-}
-
 void
 expectBitwiseEqual(const Vector& a, const Vector& b, const char* what)
 {
@@ -61,16 +53,6 @@ expectBitwiseEqual(const Vector& a, const Vector& b, const char* what)
         ASSERT_EQ(bits(a[i]), bits(b[i]))
             << what << " differs at " << i << ": " << a[i] << " vs "
             << b[i];
-}
-
-void
-expectBitwiseEqualF32(const FloatVector& a, const FloatVector& b,
-                      const char* what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(bits32(a[i]), bits32(b[i]))
-            << what << " differs at " << i;
 }
 
 /** Awkward shapes: empty, sub-width, exact widths, tails, chunked. */
@@ -337,86 +319,6 @@ TEST_F(SimdKernelLevels, CsrRowGatherBitwiseMatchesScalar)
                                      x.data()),
                     naive, 1e-12 * (1.0 + std::abs(naive)))
             << "nnz=" << nnz;
-    }
-}
-
-TEST_F(SimdKernelLevels, F32KernelsBitwiseMatchScalar)
-{
-    const simd::VectorKernels& ref = simd::kernelsFor(IsaLevel::Scalar);
-    Rng rng(137);
-    for (Index n : kShapes) {
-        FloatVector x(static_cast<std::size_t>(n));
-        FloatVector y(static_cast<std::size_t>(n));
-        FloatVector inv_diag(static_cast<std::size_t>(n));
-        for (Index i = 0; i < n; ++i) {
-            x[static_cast<std::size_t>(i)] =
-                static_cast<float>(rng.normal());
-            y[static_cast<std::size_t>(i)] =
-                static_cast<float>(rng.normal());
-            inv_diag[static_cast<std::size_t>(i)] =
-                0.1f + std::abs(static_cast<float>(rng.normal()));
-        }
-        for (IsaLevel level : levels_) {
-            const simd::VectorKernels& k = simd::kernelsFor(level);
-            ASSERT_EQ(bits(k.dotRangeF32(x.data(), y.data(), n)),
-                      bits(ref.dotRangeF32(x.data(), y.data(), n)))
-                << isaLevelName(level) << " dotF32 n=" << n;
-
-            FloatVector xa_ref = x, r_ref = y, xa_k = x, r_k = y;
-            const Real s_ref = ref.xMinusAlphaPDotRangeF32(
-                0.6f, y.data(), xa_ref.data(), x.data(), r_ref.data(), n);
-            const Real s_k = k.xMinusAlphaPDotRangeF32(
-                0.6f, y.data(), xa_k.data(), x.data(), r_k.data(), n);
-            ASSERT_EQ(bits(s_k), bits(s_ref))
-                << isaLevelName(level) << " xMinusAlphaPDotF32 n=" << n;
-            expectBitwiseEqualF32(xa_k, xa_ref, "f32 x");
-            expectBitwiseEqualF32(r_k, r_ref, "f32 r");
-
-            FloatVector d_ref(static_cast<std::size_t>(n), 0.0f);
-            FloatVector d_k(static_cast<std::size_t>(n), 0.0f);
-            const Real p_ref = ref.precondApplyDotRangeF32(
-                inv_diag.data(), y.data(), d_ref.data(), n);
-            const Real p_k = k.precondApplyDotRangeF32(
-                inv_diag.data(), y.data(), d_k.data(), n);
-            ASSERT_EQ(bits(p_k), bits(p_ref))
-                << isaLevelName(level) << " precondF32 n=" << n;
-            expectBitwiseEqualF32(d_k, d_ref, "f32 d");
-
-            FloatVector out_ref(static_cast<std::size_t>(n), 0.0f);
-            FloatVector out_k(static_cast<std::size_t>(n), 0.0f);
-            ref.axpbyRangeF32(1.5f, x.data(), -0.25f, y.data(),
-                              out_ref.data(), n);
-            k.axpbyRangeF32(1.5f, x.data(), -0.25f, y.data(),
-                            out_k.data(), n);
-            expectBitwiseEqualF32(out_k, out_ref, "f32 axpby");
-        }
-    }
-}
-
-TEST_F(SimdKernelLevels, CsrRowGatherF32BitwiseMatchesScalar)
-{
-    const simd::VectorKernels& ref = simd::kernelsFor(IsaLevel::Scalar);
-    Rng rng(139);
-    const Index x_len = 120;
-    FloatVector x(static_cast<std::size_t>(x_len));
-    for (float& v : x)
-        v = static_cast<float>(rng.normal());
-    for (Index nnz : {0, 1, 3, 7, 8, 9, 17, 40, 101}) {
-        FloatVector vals(static_cast<std::size_t>(nnz));
-        std::vector<Index> cols(static_cast<std::size_t>(nnz));
-        for (Index p = 0; p < nnz; ++p) {
-            vals[static_cast<std::size_t>(p)] =
-                static_cast<float>(rng.normal());
-            cols[static_cast<std::size_t>(p)] = rng.uniformIndex(x_len);
-        }
-        for (IsaLevel level : levels_) {
-            const simd::VectorKernels& k = simd::kernelsFor(level);
-            ASSERT_EQ(bits32(k.csrRowGatherF32(vals.data(), cols.data(),
-                                               nnz, x.data())),
-                      bits32(ref.csrRowGatherF32(vals.data(), cols.data(),
-                                                 nnz, x.data())))
-                << isaLevelName(level) << " nnz=" << nnz;
-        }
     }
 }
 

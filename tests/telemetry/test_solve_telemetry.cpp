@@ -5,6 +5,8 @@
  * OsqpInfo by a real CPU solve.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "osqp/solver.hpp"
@@ -15,6 +17,24 @@ namespace rsqp
 {
 namespace
 {
+
+/** Object keys of a JSON text without escaped quotes, in order of
+ *  appearance, each followed by a space. */
+std::string
+jsonKeys(const std::string& json)
+{
+    std::string keys;
+    std::size_t pos = 0;
+    while ((pos = json.find('"', pos)) != std::string::npos) {
+        const std::size_t end = json.find('"', pos + 1);
+        if (end == std::string::npos)
+            break;
+        if (end + 1 < json.size() && json[end + 1] == ':')
+            keys += json.substr(pos + 1, end - pos - 1) + ' ';
+        pos = end + 1;
+    }
+    return keys;
+}
 
 TEST(SolveTelemetryRecord, ResidualTailKeepsLastEntries)
 {
@@ -51,6 +71,16 @@ TEST(SolveTelemetryRecord, JsonCarriesCoreFields)
     EXPECT_NE(json.find("\"residual_tail\""), std::string::npos);
     EXPECT_NE(json.find("\"pcg_iterations_total\":400"),
               std::string::npos);
+
+    // The exact key sequence pins the schema: adding or dropping a key
+    // (isa_level included, precision-mode keys excluded) has to edit
+    // this list deliberately.
+    EXPECT_EQ(jsonKeys(json),
+              "backend restarts backend_switches iterations kkt_solves "
+              "pcg_iterations_total pcg_iters_per_solve isa_level "
+              "recovery_events faults_injected route queue_wait_seconds "
+              "setup_seconds solve_seconds residual_tail iter prim_res "
+              "dual_res ");
 }
 
 TEST(SolveTelemetryRecord, AttachedToOsqpInfoBySolve)
