@@ -3,12 +3,13 @@
  * Lightweight hot-path profiler for the matrix-free KKT pipeline.
  *
  * The indirect (PCG) backend spends essentially all of its time in six
- * kernel families: the three SpMV passes of the reduced operator
- * (P, A, A'), the fused CG vector updates, the preconditioner apply and
- * the dot/norm reductions. Each family gets a nanosecond accumulator
- * and a call counter so a solve can report exactly where its wall clock
- * went — the software twin of the per-stage utilization counters an
- * RSQP bitstream exposes over its status registers.
+ * kernel families: the P pass and the fused A/A' pass of the reduced
+ * operator, the A' pass of the reduced-rhs build, the fused CG vector
+ * updates, the preconditioner apply and the dot/norm reductions. Each
+ * family gets a nanosecond accumulator and a call counter so a solve
+ * can report exactly where its wall clock went — the software twin of
+ * the per-stage utilization counters an RSQP bitstream exposes over its
+ * status registers.
  *
  * Activation is scoped, not global: a HotPathProfilerScope installs a
  * profiler in a thread-local slot and every ProfileScope constructed on
@@ -36,8 +37,8 @@ namespace rsqp
 enum class ProfilePhase
 {
     SpmvP,          ///< y = (P + sigma I) x row-gather (full-CSR P)
-    SpmvA,          ///< w = diag(rho) A x row-gather (CSR mirror of A)
-    SpmvAt,         ///< y += A' w row-gather (A' view of A's CSC)
+    SpmvA,          ///< fused y += A' diag(rho) A x pass; also z = A x
+    SpmvAt,         ///< reduced-rhs build y += A' diag(rho) x (A's CSC)
     FusedVectorOps, ///< fused CG updates (axpyDot, xMinusAlphaPDot, ...)
     Precond,        ///< Jacobi apply (+ fused dot)
     Reduction,      ///< stand-alone dot / norm reductions

@@ -144,6 +144,7 @@ ReducedKktOperator::ReducedKktOperator(const CscMatrix& p_upper,
                 "rho vector length must be m");
     buildPFull();
     buildAMirror();
+    buildABlocks();
     rebuildDiagonalBase();
     rebuildDiagonal();
 }
@@ -245,6 +246,29 @@ ReducedKktOperator::buildAMirror()
 }
 
 void
+ReducedKktOperator::buildABlocks()
+{
+    const Index m = a_->rows();
+    const Count nnz = aRowPtr_.back();
+    const Count blocks =
+        std::max<Count>(1, (nnz + kKktApplyBlockNnz - 1) / kKktApplyBlockNnz);
+    // Block b starts at the first row whose CSR offset reaches b/blocks
+    // of the nonzeros; a row longer than a block's share leaves the
+    // neighbouring boundary empty, and empty blocks are dropped.
+    aBlockRow_.assign(1, 0);
+    for (Count b = 1; b < blocks; ++b) {
+        const Count target = nnz * b / blocks;
+        const auto row = static_cast<Index>(
+            std::lower_bound(aRowPtr_.begin(), aRowPtr_.end(), target) -
+            aRowPtr_.begin());
+        if (row > aBlockRow_.back() && row < m)
+            aBlockRow_.push_back(row);
+    }
+    aBlockRow_.push_back(m);
+    blockAcc_.assign((aBlockRow_.size() - 2) * a_->cols(), 0.0);
+}
+
+void
 ReducedKktOperator::rebuildDiagonalBase()
 {
     const Index n = pUpper_->cols();
@@ -276,61 +300,59 @@ ReducedKktOperator::apply(const Vector& x, Vector& y) const
 {
     TELEMETRY_SPAN("kkt.apply");
     const Index n = pUpper_->cols();
-    const Index m = a_->rows();
     RSQP_ASSERT(static_cast<Index>(x.size()) == n, "apply: x size");
     y.resize(static_cast<std::size_t>(n));
-    scratchM_.resize(static_cast<std::size_t>(m));
 
     const simd::VectorKernels& k = simd::activeKernels();
-    {
-        // w = diag(rho) A x — rho folded into the row gather, no
-        // separate length-m sweep.
-        ProfileScope profile(ProfilePhase::SpmvA);
-        parallelForRange(m, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = aRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    aRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                scratchM_[static_cast<std::size_t>(r)] =
-                    rhoVec_[static_cast<std::size_t>(r)] *
-                    k.csrRowGather(aVals_.data() + begin,
-                                   aColIdx_.data() + begin, nnz, x.data());
-            }
-        });
-    }
     {
         // y = (P + sigma I) x on the full symmetric CSR image.
         ProfileScope profile(ProfilePhase::SpmvP);
         parallelForRange(n, [&](Index rb, Index re) {
-            for (Index r = rb; r < re; ++r) {
-                const Index begin = pRowPtr_[static_cast<std::size_t>(r)];
-                const Index nnz =
-                    pRowPtr_[static_cast<std::size_t>(r) + 1] - begin;
-                y[static_cast<std::size_t>(r)] =
-                    k.csrRowGather(pVals_.data() + begin,
-                                   pColIdx_.data() + begin, nnz,
-                                   x.data()) +
-                    sigma_ * x[static_cast<std::size_t>(r)];
-            }
+            k.csrRowsGatherShift(pRowPtr_.data(), pColIdx_.data(),
+                                 pVals_.data(), rb, re, sigma_, x.data(),
+                                 y.data());
         });
     }
     {
-        // y += A' w. A CSR row of A' is a CSC column of A, so the
-        // gather reads A's original arrays — no transpose mirror.
-        ProfileScope profile(ProfilePhase::SpmvAt);
-        const auto& col_ptr = a_->colPtr();
-        const auto& row_idx = a_->rowIdx();
-        const auto& values = a_->values();
-        parallelForRange(n, [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c) {
-                const Index begin = col_ptr[c];
-                y[static_cast<std::size_t>(c)] +=
-                    k.csrRowGather(values.data() + begin,
-                                   row_idx.data() + begin,
-                                   col_ptr[c + 1] - begin,
-                                   scratchM_.data());
+        // y += A' diag(rho) A x in one pass over A's CSR mirror: each
+        // row's dot is scattered back while the row is still in cache.
+        ProfileScope profile(ProfilePhase::SpmvA);
+        const Index blocks = static_cast<Index>(aBlockRow_.size()) - 1;
+        const auto block_acc = [&](Index b) {
+            return blockAcc_.data() + static_cast<std::size_t>(b - 1) * n;
+        };
+        const auto run_blocks = [&](Index bb, Index be) {
+            for (Index b = bb; b < be; ++b) {
+                Real* out = y.data();
+                if (b > 0) {
+                    out = block_acc(b);
+                    std::fill(out, out + n, 0.0);
+                }
+                const Index rb = aBlockRow_[b];
+                const Index re = aBlockRow_[b + 1];
+                k.csrRowsRhoScatter(aRowPtr_.data(), aColIdx_.data(),
+                                    aVals_.data(), rhoVec_.data(), rb, re,
+                                    x.data(), out);
             }
-        });
+        };
+        // Tested here, not left to parallelFor, so a serial apply builds
+        // no std::function: the steady-state PCG loop is allocation-free.
+        if (blocks > 1 && effectiveNumThreads() > 1 &&
+            !ThreadPool::insideWorker())
+            ThreadPool::global().parallelFor(0, blocks, 1, run_blocks);
+        else
+            run_blocks(0, blocks);
+        // Every y[c] adds accumulators 1, 2, ... in block order, so the
+        // sum does not depend on which thread ran which block.
+        if (blocks > 1) {
+            parallelForRange(n, [&](Index cb, Index ce) {
+                for (Index b = 1; b < blocks; ++b) {
+                    const Real* acc = block_acc(b);
+                    for (Index c = cb; c < ce; ++c)
+                        y[c] += acc[c];
+                }
+            });
+        }
     }
 }
 
@@ -368,8 +390,7 @@ ReducedKktOperator::accumulateAtRho(const Vector& x, Vector& y) const
     const auto& col_ptr = a_->colPtr();
     const auto& row_idx = a_->rowIdx();
     const auto& values = a_->values();
-    // Precompute w = rho .* x so each column reduces to a pure gather;
-    // the products values[p] * w[r] match the former fused form exactly.
+    // Precompute w = rho .* x so each column reduces to a pure gather.
     const Index m = a_->rows();
     scratchM_.resize(static_cast<std::size_t>(m));
     for (Index r = 0; r < m; ++r)

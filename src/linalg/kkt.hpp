@@ -83,21 +83,39 @@ class KktAssembler
 };
 
 /**
+ * Nonzeros of A per block of the fused reduced-KKT apply. Construction
+ * splits A's rows into ceil(nnz(A) / kKktApplyBlockNnz) nnz-balanced
+ * blocks; every block beyond the first scatters into its own length-n
+ * accumulator, so each extra block costs a zero and a combine of n
+ * values — 1-3% of a serial apply each. The grain keeps blocks far
+ * larger than n wherever A splits at all.
+ */
+inline constexpr Index kKktApplyBlockNnz = Index{1} << 19;
+
+/**
  * Matrix-free application of the reduced KKT operator
- * K = P + sigma*I + A' diag(rho) A (the paper stores P, A and A'
- * separately and applies K incrementally; so do we).
+ * K = P + sigma*I + A' diag(rho) A. The paper's accelerator applies K
+ * incrementally without forming it; so do we, streaming A once.
  *
  * Execution form: construction expands the upper-triangle P into a
- * full symmetric CSR image and mirrors A into CSR; A' needs no mirror
- * at all because a CSR row of A' is exactly a CSC column of A, read
- * through the original arrays. Every apply() is therefore pure
- * row-gather — one private accumulator per output element, fanned out
- * over the shared ThreadPool with bitwise-identical results at any
- * thread count — and the diag(rho) scaling is folded into the A pass
- * (no separate length-m sweep). Each row reduces through the SIMD
- * kernel table's canonical 8-lane striped order, which is fixed per
- * row, so results are also bitwise-identical across dispatched ISA
- * levels. Values, vectors and accumulators are all fp64.
+ * full symmetric CSR image and mirrors A into CSR. Every apply() is
+ * two passes through the SIMD kernel table: a row-gather over P that
+ * writes y = (P + sigma I) x, then one fused pass over A's CSR mirror
+ * that computes w_i = rho_i * (a_i . x) for each row and immediately
+ * scatters y += w_i * a_i while the row is still in cache — A is read
+ * once per apply, never through its CSC arrays. Each row dot reduces
+ * in the kernel table's canonical 8-lane striped order and each
+ * scatter update is one multiply then one add, so results are
+ * bitwise-identical across dispatched ISA levels. Values, vectors and
+ * accumulators are all fp64.
+ *
+ * Threading: A's rows are split at construction into nnz-balanced
+ * blocks of about kKktApplyBlockNnz nonzeros (see there). Block 0
+ * scatters into y; every later block scatters into a private
+ * accumulator, and the accumulators are added into y in block order.
+ * Serial and pooled runs execute the same blocks, so the result is
+ * bitwise-identical at any thread count for the partition the matrix
+ * fixes. Inside a pool worker the blocks run inline.
  *
  * Slot maps recorded at construction let refreshValues() re-read
  * updated P/A values in place (same sparsity pattern), and the
@@ -122,7 +140,11 @@ class ReducedKktOperator
     /** z = A x (row-gather on the CSR mirror of A). */
     void applyA(const Vector& x, Vector& z) const;
 
-    /** y += A' diag(rho) x — the reduced-rhs build, without temps. */
+    /**
+     * y += A' diag(rho) x — the reduced-rhs build. Fills a length-m
+     * scratch with rho .* x, then gathers each column of A's CSC
+     * arrays against it.
+     */
     void accumulateAtRho(const Vector& x, Vector& y) const;
 
     /** Cached diagonal of K, used by the Jacobi preconditioner. */
@@ -146,6 +168,7 @@ class ReducedKktOperator
   private:
     void buildPFull();
     void buildAMirror();
+    void buildABlocks();
     void rebuildDiagonalBase();
     void rebuildDiagonal();
 
@@ -153,7 +176,7 @@ class ReducedKktOperator
     const CscMatrix* a_;
     Real sigma_;
     Vector rhoVec_;
-    mutable Vector scratchM_;  ///< length-m scratch for diag(rho) A x
+    mutable Vector scratchM_;  ///< length-m rho .* x for accumulateAtRho
 
     /// Full symmetric expansion of P in CSR (sorted columns per row).
     std::vector<Index> pRowPtr_;
@@ -172,6 +195,10 @@ class ReducedKktOperator
     std::vector<Index> aSlotFromCsc_;
     /// Per-entry A_ij^2 aligned with the CSR mirror (rho-independent).
     std::vector<Real> aSqCsr_;
+    /// First row of each fused-apply block, plus m (size blocks + 1).
+    std::vector<Index> aBlockRow_;
+    /// Length-n scatter accumulators of blocks 1.. (empty for one block).
+    mutable std::vector<Real> blockAcc_;
 
     /// Rho-independent diagonal part: P_jj + sigma.
     Vector diagBase_;

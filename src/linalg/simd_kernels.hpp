@@ -66,6 +66,27 @@ struct VectorKernels
     /** sum vals[p] * x[cols[p]] — one CSR row of a gather SpMV. */
     Real (*csrRowGather)(const Real* vals, const Index* cols, Index nnz,
                          const Real* x);
+    /**
+     * y[r] = csrRowGather(row r) + shift * x[r] for every row r in
+     * [row_begin, row_end) of a square CSR matrix (row_ptr is indexed
+     * by absolute row) — the (P + sigma I) x pass in one call.
+     */
+    void (*csrRowsGatherShift)(const Index* row_ptr, const Index* cols,
+                               const Real* vals, Index row_begin,
+                               Index row_end, Real shift, const Real* x,
+                               Real* y);
+    /**
+     * For every row r in [row_begin, row_end), in ascending order:
+     * w = rho[r] * csrRowGather(row r), then y[cols[p]] += w * vals[p]
+     * for each of the row's entries — y += A' diag(rho) A x over a row
+     * block with A read once. Columns within a row must be distinct
+     * (the vector scatter would drop a repeated update) and y must not
+     * alias x.
+     */
+    void (*csrRowsRhoScatter)(const Index* row_ptr, const Index* cols,
+                              const Real* vals, const Real* rho,
+                              Index row_begin, Index row_end, const Real* x,
+                              Real* y);
 };
 
 /**

@@ -119,6 +119,24 @@ struct PackD
                 _mm256_mask_i32gather_pd(src, base, i1, mask, 8)};
     }
 
+    /** AVX2 has no scatter instruction: one 64-bit store per lane. */
+    static void
+    scatter(Real* base, const Index* idx, PackD v)
+    {
+        const __m128d q0 = _mm256_castpd256_pd128(v.lo);
+        const __m128d q1 = _mm256_extractf128_pd(v.lo, 1);
+        const __m128d q2 = _mm256_castpd256_pd128(v.hi);
+        const __m128d q3 = _mm256_extractf128_pd(v.hi, 1);
+        _mm_storel_pd(base + idx[0], q0);
+        _mm_storeh_pd(base + idx[1], q0);
+        _mm_storel_pd(base + idx[2], q1);
+        _mm_storeh_pd(base + idx[3], q1);
+        _mm_storel_pd(base + idx[4], q2);
+        _mm_storeh_pd(base + idx[5], q2);
+        _mm_storel_pd(base + idx[6], q3);
+        _mm_storeh_pd(base + idx[7], q3);
+    }
+
     /** Canonical halving tree: (i, i+4), then (i, i+2), then the pair. */
     static Real
     reduceAdd(PackD a)

@@ -112,6 +112,14 @@ struct PackD
                                          vi, base, 8)};
     }
 
+    static void
+    scatter(Real* base, const Index* idx, PackD a)
+    {
+        const __m256i vi =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+        _mm512_i32scatter_pd(base, vi, a.v, 8);
+    }
+
     /** Canonical halving tree: (i, i+4), then (i, i+2), then the pair. */
     static Real
     reduceAdd(PackD a)

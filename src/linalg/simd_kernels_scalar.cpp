@@ -116,6 +116,13 @@ struct PackD
         return v;
     }
 
+    static void
+    scatter(Real* base, const Index* idx, PackD v)
+    {
+        for (int j = 0; j < 8; ++j)
+            base[static_cast<std::size_t>(idx[j])] = v.l[j];
+    }
+
     /** Canonical halving tree: (i, i+4), then (i, i+2), then the pair. */
     static Real
     reduceAdd(PackD a)

@@ -157,8 +157,8 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
     HotPathProfilerScope profile_scope(
         pcgSettings_.profile ? &profiler_ : nullptr);
 
-    // b = rhs_x + A' diag(rho) rhs_z — the rho scaling happens inside
-    // the gather, with no length-m temporary.
+    // b = rhs_x + A' diag(rho) rhs_z — rho .* rhs_z goes into the
+    // operator's length-m scratch, then A's columns gather against it.
     reducedRhs_ = rhs_x;
     op_.accumulateAtRho(rhs_z, reducedRhs_);
 

@@ -167,13 +167,12 @@ TEST_F(KktFixture, ReducedOperatorSetRho)
 
 /**
  * The retired column-scatter application of K, kept as the numerical
- * reference for the CSR row-gather path: spmvSymUpper for P, CSC spmv
- * + rho scale for the A pass, spmvTransposeAccumulate for A'. Rows
- * with fewer than 8 non-zeros still match it bit for bit (the striped
- * kernel's tail is the retired serial loop); longer rows reduce in
- * the canonical 8-lane striped order and agree to rounding only —
- * the bitwise contract is now cross-thread and cross-ISA instead
- * (see ApplyBitwiseIdenticalAcrossThreadCounts and
+ * reference for the fused apply: spmvSymUpper for P, CSC spmv + rho
+ * scale for the A pass, spmvTransposeAccumulate for A'. The fused
+ * pass adds A' w into y row by row instead of column by column, and
+ * long rows reduce in the canonical 8-lane striped order, so the two
+ * agree to rounding only — the bitwise contract is cross-thread and
+ * cross-ISA instead (see ApplyBitwiseIdenticalAcrossThreadCounts and
  * tests/linalg/test_simd_kernels.cpp).
  */
 Vector
@@ -191,7 +190,39 @@ applyReferenceCsc(const CscMatrix& p, const CscMatrix& a, Real sigma,
     return y;
 }
 
-TEST_F(KktFixture, CsrApplyMatchesRetiredCscPathExactly)
+/**
+ * Plain-loop statement of the fused apply's summation order:
+ * spmvSymUpper for P plus sigma x, then, for each row of A in
+ * ascending order, w = rho_i * sum_c a_ic x_c over the row's columns
+ * in ascending order and y[c] += w * a_ic. On a matrix that fits one
+ * apply block and whose rows hold fewer than 8 entries, the striped
+ * kernels reduce serially, so the apply reproduces it bit for bit.
+ */
+Vector
+applyReferenceRowScatter(const CscMatrix& p, const CscMatrix& a, Real sigma,
+                         const Vector& rho, const Vector& x)
+{
+    Vector y;
+    p.spmvSymUpper(x, y);
+    axpy(sigma, x, y);
+    std::vector<std::vector<std::pair<Index, Real>>> rows(
+        static_cast<std::size_t>(a.rows()));
+    for (Index c = 0; c < a.cols(); ++c)
+        for (Index k = a.colPtr()[c]; k < a.colPtr()[c + 1]; ++k)
+            rows[static_cast<std::size_t>(a.rowIdx()[k])].emplace_back(
+                c, a.values()[k]);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        Real dot_i = 0.0;
+        for (const auto& [c, v] : rows[i])
+            dot_i += v * x[static_cast<std::size_t>(c)];
+        const Real w = rho[i] * dot_i;
+        for (const auto& [c, v] : rows[i])
+            y[static_cast<std::size_t>(c)] += w * v;
+    }
+    return y;
+}
+
+TEST_F(KktFixture, ApplyMatchesRowScatterOrderExactly)
 {
     ReducedKktOperator op(p, a, sigma, rho);
     Rng rng(23);
@@ -199,9 +230,9 @@ TEST_F(KktFixture, CsrApplyMatchesRetiredCscPathExactly)
         const Vector x = randomVector(6, rng);
         Vector y;
         op.apply(x, y);
-        // Exact equality, not an epsilon: the CSR mirrors replay the
-        // retired summation order term for term.
-        EXPECT_EQ(y, applyReferenceCsc(p, a, sigma, rho, x))
+        // Exact equality, not an epsilon: the fused pass adds each
+        // row's scaled entries into y in the reference's order.
+        EXPECT_EQ(y, applyReferenceRowScatter(p, a, sigma, rho, x))
             << "trial " << trial;
     }
 }
@@ -255,9 +286,11 @@ TEST(ReducedKktOperator, CsrApplyMatchesCscOnSuiteProblems)
 
 TEST(ReducedKktOperator, ApplyBitwiseIdenticalAcrossThreadCounts)
 {
-    // Big enough (n above kParallelThreshold) that the row-gathers fan
-    // out across the pool; the fixed-grain reduction contract makes
-    // the output thread-invariant.
+    // Big enough that both passes fan out across the pool: n = 35000
+    // is above kParallelThreshold, and A's 6.5M nonzeros split into 13
+    // fused-apply blocks, so the block accumulators and their combine
+    // run at every thread count below. The partition is fixed by the
+    // matrix, which makes the output thread-invariant.
     const QpProblem qp = generateProblem(Domain::Lasso, 5000, 78);
     Vector rho(static_cast<std::size_t>(qp.numConstraints()), 0.4);
     ReducedKktOperator op(qp.pUpper, qp.a, 1e-6, rho);

@@ -322,6 +322,77 @@ TEST_F(SimdKernelLevels, CsrRowGatherBitwiseMatchesScalar)
     }
 }
 
+TEST_F(SimdKernelLevels, CsrRowRangeKernelsBitwiseMatchScalar)
+{
+    // 41 rows (odd, so the scatter's two-row interleave leaves one row
+    // over) whose lengths run through 0..40 in a scrambled order:
+    // tail-only rows and rows with full 8-lane chunks mix.
+    // Columns within a row are distinct but unsorted.
+    Rng rng(137);
+    const Index rows = 41;
+    const Index x_len = 64;
+    std::vector<Index> row_ptr = {0};
+    std::vector<Index> cols;
+    for (Index r = 0; r < rows; ++r) {
+        const Index len = (r * 7) % 41;
+        const Index start = rng.uniformIndex(x_len);
+        for (Index j = 0; j < len; ++j)
+            cols.push_back((start + 3 * j) % x_len);
+        row_ptr.push_back(static_cast<Index>(cols.size()));
+    }
+    const Vector vals = randomVector(static_cast<Index>(cols.size()), rng);
+    const Vector x = randomVector(x_len, rng);
+    const Vector y0 = randomVector(x_len, rng);
+    Vector rho(static_cast<std::size_t>(rows));
+    for (Real& v : rho)
+        v = 0.1 + std::abs(rng.normal());
+
+    const auto run_gather = [&](IsaLevel level, Index rb, Index re) {
+        Vector y = y0;
+        simd::kernelsFor(level).csrRowsGatherShift(
+            row_ptr.data(), cols.data(), vals.data(), rb, re, 0.37, x.data(),
+            y.data());
+        return y;
+    };
+    const auto run_scatter = [&](IsaLevel level, Index rb, Index re) {
+        Vector y = y0;
+        simd::kernelsFor(level).csrRowsRhoScatter(
+            row_ptr.data(), cols.data(), vals.data(), rho.data(), rb, re,
+            x.data(), y.data());
+        return y;
+    };
+
+    const std::vector<std::pair<Index, Index>> ranges = {
+        {0, rows}, {1, rows}, {0, rows - 1}, {5, 6}, {7, 7}, {12, 29}};
+    for (const auto& [rb, re] : ranges) {
+        const Vector gather_ref = run_gather(IsaLevel::Scalar, rb, re);
+        const Vector scatter_ref = run_scatter(IsaLevel::Scalar, rb, re);
+        for (IsaLevel level : levels_) {
+            expectBitwiseEqual(run_gather(level, rb, re), gather_ref,
+                               isaLevelName(level));
+            expectBitwiseEqual(run_scatter(level, rb, re), scatter_ref,
+                               isaLevelName(level));
+        }
+
+        // Value sanity against the naive serial loops.
+        Vector gather_naive = y0;
+        Vector scatter_naive = y0;
+        for (Index r = rb; r < re; ++r) {
+            Real dot_r = 0.0;
+            for (Index p = row_ptr[r]; p < row_ptr[r + 1]; ++p)
+                dot_r += vals[p] * x[cols[p]];
+            gather_naive[r] = dot_r + 0.37 * x[r];
+            const Real w = rho[r] * dot_r;
+            for (Index p = row_ptr[r]; p < row_ptr[r + 1]; ++p)
+                scatter_naive[cols[p]] += w * vals[p];
+        }
+        test::expectVectorsNear(gather_ref, gather_naive, 1e-12,
+                                "row-range gather");
+        test::expectVectorsNear(scatter_ref, scatter_naive, 1e-12,
+                                "row-range scatter");
+    }
+}
+
 TEST_F(SimdKernelLevels, ForceIsaLevelSwitchesAndRestores)
 {
     for (IsaLevel level : levels_) {
