@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -119,15 +118,6 @@ struct ProblemRow
         return nullptr;
     }
 };
-
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
-}
 
 BackendRun
 runBackend(const QpProblem& qp, const OsqpSettings& base,
@@ -225,7 +215,7 @@ main(int argc, char** argv)
                   << ", \"max_dim\": " << options.maxDim
                   << ", \"max_iter\": " << options.maxIter
                   << ", \"time_limit\": "
-                  << formatDouble(options.timeLimit, 3)
+                  << formatFixed(options.timeLimit, 3)
                   << ", \"adaptive_rho\": false, \"backends\": [";
         for (std::size_t k = 0; k < kinds.size(); ++k)
             std::cout << "\"" << backendKindName(kinds[k]) << "\""
@@ -239,13 +229,13 @@ main(int argc, char** argv)
                       << row.n << ", \"m\": " << row.m
                       << ", \"nnz\": " << row.nnz
                       << ", \"equality_fraction\": "
-                      << formatDouble(row.features.equalityFraction, 3)
+                      << formatFixed(row.features.equalityFraction, 3)
                       << ", \"tall_ratio\": "
-                      << formatDouble(row.features.tallRatio, 3)
+                      << formatFixed(row.features.tallRatio, 3)
                       << ", \"selector_choice\": \""
                       << backendKindName(row.selectorChoice)
                       << "\", \"admm_over_pdhg_iterations\": "
-                      << formatDouble(
+                      << formatFixed(
                              iterationRatio(
                                  row.find(BackendKind::Admm),
                                  row.find(BackendKind::Pdhg)),
@@ -259,13 +249,13 @@ main(int argc, char** argv)
                     << statusToString(run.status)
                     << "\", \"iterations\": " << run.iterations
                     << ", \"solve_seconds\": "
-                    << formatDouble(run.solveSeconds, 6)
+                    << formatFixed(run.solveSeconds, 6)
                     << ", \"restarts\": " << run.restarts
                     << ", \"backend_switches\": " << run.switches
                     << ", \"finished_on\": \""
                     << bench::jsonEscape(run.finishedOn)
                     << "\", \"objective\": "
-                    << formatDouble(run.objective, 9) << "}"
+                    << formatFixed(run.objective, 9) << "}"
                     << (r + 1 < row.runs.size() ? ", " : "");
             }
             std::cout << "]}" << (i + 1 < rows.size() ? "," : "")
@@ -284,7 +274,7 @@ main(int argc, char** argv)
     } else {
         std::cout << "# backend shoot-out (fixed-penalty sweep, "
                   << "max_iter=" << options.maxIter << ", time_limit="
-                  << formatDouble(options.timeLimit, 1) << "s)\n";
+                  << formatFixed(options.timeLimit, 1) << "s)\n";
         TextTable table({"problem", "n+m", "eq", "m/n", "selector",
                          "admm_it", "accel_it", "pdhg_it", "auto_it",
                          "auto_on", "admm/pdhg"});
@@ -303,12 +293,12 @@ main(int argc, char** argv)
             };
             table.addRow(
                 {row.name, std::to_string(row.n + row.m),
-                 formatDouble(row.features.equalityFraction, 2),
-                 formatDouble(row.features.tallRatio, 2),
+                 formatFixed(row.features.equalityFraction, 2),
+                 formatFixed(row.features.tallRatio, 2),
                  backendKindName(row.selectorChoice), iters(admm),
                  iters(accel), iters(pdhg), iters(auto_run),
                  auto_run != nullptr ? auto_run->finishedOn : "-",
-                 formatDouble(iterationRatio(admm, pdhg), 2)});
+                 formatFixed(iterationRatio(admm, pdhg), 2)});
         }
         table.print(std::cout);
         std::cout << "\n# gates: selector_pdhg_1_5x="

@@ -31,7 +31,6 @@
 #include <future>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -102,15 +101,6 @@ struct RunOutcome
     ServiceStats stats;
     FleetStats fleet;
 };
-
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
-}
 
 } // namespace
 
@@ -246,7 +236,7 @@ main(int argc, char** argv)
     if (options.json) {
         auto emitRun = [&](const char* name, const RunOutcome& run) {
             std::cout << "  \"" << name << "\": {\"wall_seconds\": "
-                      << formatDouble(run.wallSeconds, 6)
+                      << formatFixed(run.wallSeconds, 6)
                       << ", \"solved\": " << run.solved
                       << ", \"resolved\": " << run.resolved
                       << ", \"completed\": " << run.stats.completed
@@ -261,7 +251,7 @@ main(int argc, char** argv)
                       << ", \"partition_invalidations\": "
                       << run.fleet.partitionInvalidations
                       << ", \"virtual_seconds\": "
-                      << formatDouble(run.fleet.virtualSeconds, 6)
+                      << formatFixed(run.fleet.virtualSeconds, 6)
                       << "}";
         };
         std::cout << "{\n  \"seed\": " << options.seed
@@ -277,26 +267,26 @@ main(int argc, char** argv)
         std::cout << ",\n";
         emitRun("chaos", chaos);
         std::cout << ",\n  \"comparison\": {\"goodput_retention\": "
-                  << formatDouble(goodputRetention, 4)
+                  << formatFixed(goodputRetention, 4)
                   << ", \"bitwise_equal\": "
                   << (bitwiseEqual ? "true" : "false")
                   << ", \"lost_jobs\": " << lostJobs
                   << ", \"accounted\": " << accounted
                   << ", \"failed_over_jobs\": " << failedOverJobs
                   << ", \"failover_latency_seconds\": "
-                  << formatDouble(failoverLatency, 6) << "}\n}\n";
+                  << formatFixed(failoverLatency, 6) << "}\n}\n";
     } else {
         std::cout << "# chaos: " << sessionCount << " structures, "
                   << requestCount << " requests, " << options.cores
                   << " cores, seed " << options.seed << "\n";
         TextTable table({"run", "wall_s", "solved", "failovers",
                          "quarantines", "readmissions"});
-        table.addRow({"baseline", formatDouble(baseline.wallSeconds, 3),
+        table.addRow({"baseline", formatFixed(baseline.wallSeconds, 3),
                       std::to_string(baseline.solved),
                       std::to_string(baseline.stats.failovers),
                       std::to_string(baseline.stats.quarantines),
                       std::to_string(baseline.stats.readmissions)});
-        table.addRow({"chaos", formatDouble(chaos.wallSeconds, 3),
+        table.addRow({"chaos", formatFixed(chaos.wallSeconds, 3),
                       std::to_string(chaos.solved),
                       std::to_string(chaos.stats.failovers),
                       std::to_string(chaos.stats.quarantines),
@@ -306,7 +296,7 @@ main(int argc, char** argv)
                   << "  bitwise_equal "
                   << (bitwiseEqual ? "yes" : "no") << "  lost_jobs "
                   << lostJobs << "  failover_latency_s "
-                  << formatDouble(failoverLatency, 6) << "\n";
+                  << formatFixed(failoverLatency, 6) << "\n";
     }
 
     // Exit gates (what chaos-smoke enforces in CI): nothing lost,

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -113,15 +112,6 @@ struct Row
     Index recoveryEvents = 0;
 };
 
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
-}
-
 } // namespace
 
 int
@@ -193,11 +183,11 @@ main(int argc, char** argv)
             std::cout << "    {\"name\": \""
                       << bench::jsonEscape(row.name)
                       << "\", \"legacy_seconds\": "
-                      << formatDouble(row.legacySeconds, 6)
+                      << formatFixed(row.legacySeconds, 6)
                       << ", \"guarded_seconds\": "
-                      << formatDouble(row.guardedSeconds, 6)
+                      << formatFixed(row.guardedSeconds, 6)
                       << ", \"overhead_percent\": "
-                      << formatDouble(row.overheadPercent, 2)
+                      << formatFixed(row.overheadPercent, 2)
                       << ", \"injected_status\": \""
                       << bench::jsonEscape(row.injectedStatus)
                       << "\", \"recovery_events\": "
@@ -205,7 +195,7 @@ main(int argc, char** argv)
                       << (i + 1 < rows.size() ? "," : "") << "\n";
         }
         std::cout << "  ],\n  \"median_overhead_percent\": "
-                  << formatDouble(median, 2)
+                  << formatFixed(median, 2)
                   << ",\n  \"untyped_results\": " << nonTyped
                   << ",\n  \"nonfinite_results\": " << nonFinite
                   << "\n}\n";
@@ -215,9 +205,9 @@ main(int argc, char** argv)
     TextTable table({"problem", "legacy_s", "guarded_s", "overhead_%",
                      "injected_status", "recovery_events"});
     for (const Row& row : rows)
-        table.addRow({row.name, formatDouble(row.legacySeconds, 6),
-                      formatDouble(row.guardedSeconds, 6),
-                      formatDouble(row.overheadPercent, 2),
+        table.addRow({row.name, formatFixed(row.legacySeconds, 6),
+                      formatFixed(row.guardedSeconds, 6),
+                      formatFixed(row.overheadPercent, 2),
                       row.injectedStatus,
                       std::to_string(row.recoveryEvents)});
     std::cout << "# fault-tolerance overhead (watchdog on vs off, "
@@ -227,7 +217,7 @@ main(int argc, char** argv)
         table.printCsv(std::cout);
     else
         table.print(std::cout);
-    std::cout << "median overhead: " << formatDouble(median, 2)
+    std::cout << "median overhead: " << formatFixed(median, 2)
               << "% (target < 2%)\n"
               << "untyped results under injection: " << nonTyped << "\n"
               << "non-finite results under injection: " << nonFinite

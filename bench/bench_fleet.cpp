@@ -137,15 +137,6 @@ struct Run
     FleetStats fleet;
 };
 
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
-}
-
 } // namespace
 
 int
@@ -275,17 +266,17 @@ main(int argc, char** argv)
             const Run& run = runs[i];
             std::cout << "    {\"cores\": " << run.cores
                       << ", \"wall_seconds\": "
-                      << formatDouble(run.wallSeconds, 6)
+                      << formatFixed(run.wallSeconds, 6)
                       << ", \"throughput_jobs_per_s\": "
-                      << formatDouble(run.throughput, 3)
+                      << formatFixed(run.throughput, 3)
                       << ", \"speedup_vs_single\": "
-                      << formatDouble(run.wallSpeedup, 3)
+                      << formatFixed(run.wallSpeedup, 3)
                       << ", \"device_seconds_total\": "
-                      << formatDouble(run.deviceSecondsTotal, 6)
+                      << formatFixed(run.deviceSecondsTotal, 6)
                       << ", \"device_makespan_seconds\": "
-                      << formatDouble(run.makespanSeconds, 6)
+                      << formatFixed(run.makespanSeconds, 6)
                       << ", \"modeled_speedup\": "
-                      << formatDouble(run.modeledSpeedup, 3)
+                      << formatFixed(run.modeledSpeedup, 3)
                       << ", \"completed\": " << run.completed
                       << ", \"rejected\": " << run.rejected
                       << ", \"interleaved_jobs\": "
@@ -298,11 +289,11 @@ main(int argc, char** argv)
                     << ", \"streams\": " << core.streams
                     << ", \"interleaved_jobs\": " << core.interleavedJobs
                     << ", \"busy_seconds\": "
-                    << formatDouble(core.busySeconds, 6)
+                    << formatFixed(core.busySeconds, 6)
                     << ", \"device_seconds\": "
-                    << formatDouble(core.deviceSeconds, 6)
+                    << formatFixed(core.deviceSeconds, 6)
                     << ", \"utilization_percent\": "
-                    << formatDouble(core.utilizationPercent, 2)
+                    << formatFixed(core.utilizationPercent, 2)
                     << ", \"cache_hits\": " << core.cache.hits
                     << ", \"cache_misses\": " << core.cache.misses
                     << "}";
@@ -315,7 +306,7 @@ main(int argc, char** argv)
         for (const Run& run : runs) {
             std::cout << (first ? "" : ", ") << "\"modeled_speedup_"
                       << run.cores << "core\": "
-                      << formatDouble(run.modeledSpeedup, 3);
+                      << formatFixed(run.modeledSpeedup, 3);
             first = false;
         }
         std::cout << "}\n}\n";
@@ -328,10 +319,10 @@ main(int argc, char** argv)
                          "interleaved", "rejected"});
         for (const Run& run : runs)
             table.addRow({std::to_string(run.cores),
-                          formatDouble(run.wallSeconds, 3),
-                          formatDouble(run.throughput, 1),
-                          formatDouble(run.wallSpeedup, 2),
-                          formatDouble(run.modeledSpeedup, 2),
+                          formatFixed(run.wallSeconds, 3),
+                          formatFixed(run.throughput, 1),
+                          formatFixed(run.wallSpeedup, 2),
+                          formatFixed(run.modeledSpeedup, 2),
                           std::to_string(run.interleavedJobs),
                           std::to_string(run.rejected)});
         table.print(std::cout);

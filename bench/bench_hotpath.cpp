@@ -3,18 +3,28 @@
  * Hot-path profile of the indirect (PCG) backend, two sweeps over the
  * largest generated suite problem:
  *
- *  1. threads  — wall clock and per-phase profiler counters at each
- *     thread count (SpMV passes, fused CG updates, preconditioner,
- *     reductions), with the bitwise-determinism cross-check;
+ *  1. threads  — wall clock and per-phase time at each thread count
+ *     (SpMV passes, fused CG updates, preconditioner, reductions),
+ *     with the bitwise-determinism cross-check;
  *  2. ISA      — single-thread solve at every supported kernel level
  *     (scalar → AVX2 → AVX-512) via simd::forceIsaLevel, with the
- *     per-phase scalar-vs-SIMD speedups derived from the counters.
+ *     per-phase scalar-vs-SIMD speedups.
+ *
+ * The per-phase numbers are the library's own trace spans
+ * (kkt.spmv_p, kkt.spmv_a, kkt.spmv_at, pcg.fused_vector_ops,
+ * pcg.precond, pcg.reduction): the bench enables the TraceRecorder,
+ * drains it after every solve and sums span durations and counts per
+ * name. It exits non-zero rather than report short totals: when a
+ * drain reports dropped spans, or when the build compiled the spans
+ * out (RSQP_TELEMETRY=OFF).
  *
  * The JSON output is the CI perf-smoke artifact (committed snapshot:
  * results/BENCH_hotpath.json). The top-level keys (problem, n, m, nnz,
  * seed, runs) are stable; the header also carries the
  * detected/compiled/active ISA levels, and the ISA sweep lands in
- * "isa_runs" / "simd_speedup".
+ * "isa_runs" / "simd_speedup". Each run's "hot_path" object has one
+ * {"ns", "calls"} entry per phase, keyed by the span name after its
+ * layer prefix, plus "total_ns" and "total_calls".
  *
  * Flags:
  *   --quick         smaller problem / fewer reps (CI smoke)
@@ -25,6 +35,9 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -36,6 +49,7 @@
 #include "common/thread_pool.hpp"
 #include "core/rsqp.hpp"
 #include "linalg/simd_kernels.hpp"
+#include "telemetry/trace.hpp"
 
 namespace
 {
@@ -100,6 +114,96 @@ parseOptions(int argc, char** argv)
     return options;
 }
 
+/** Hot-path phases, in "hot_path" JSON key order. */
+enum Phase : std::size_t
+{
+    SpmvP,
+    SpmvA,
+    SpmvAt,
+    FusedVectorOps,
+    Precond,
+    Reduction,
+    kNumPhases
+};
+
+/** The trace span that times each Phase. */
+constexpr std::array<const char*, kNumPhases> kPhaseSpans = {
+    "kkt.spmv_p", "kkt.spmv_a", "kkt.spmv_at",
+    "pcg.fused_vector_ops", "pcg.precond", "pcg.reduction"};
+
+/**
+ * Ring capacity, in events, of the solving thread: the ring must hold
+ * a whole solve, because a dropped span would shorten the totals. One
+ * solve of the largest default-size problem (lasso_05, seed 0) records
+ * about 3,100 spans, 2,474 of them phase spans.
+ */
+constexpr std::size_t kTraceRingEvents = std::size_t{1} << 15;
+
+/** Summed phase spans of one solve. */
+struct PhaseTotals
+{
+    std::array<std::uint64_t, kNumPhases> ns{};
+    std::array<std::uint64_t, kNumPhases> calls{};
+
+    double
+    ms(Phase phase) const
+    {
+        return static_cast<double>(ns[phase]) * 1e-6;
+    }
+
+    double
+    spmvMs() const
+    {
+        return ms(SpmvP) + ms(SpmvA) + ms(SpmvAt);
+    }
+
+    /** {"spmv_p":{"ns":..,"calls":..},...,"total_ns":..,"total_calls":..} */
+    std::string
+    toJson() const
+    {
+        std::uint64_t total_ns = 0;
+        std::uint64_t total_calls = 0;
+        std::string json = "{";
+        for (std::size_t i = 0; i < kNumPhases; ++i) {
+            json += '"';
+            json += std::strchr(kPhaseSpans[i], '.') + 1;
+            json += "\":{\"ns\":" + std::to_string(ns[i]) +
+                    ",\"calls\":" + std::to_string(calls[i]) + "},";
+            total_ns += ns[i];
+            total_calls += calls[i];
+        }
+        return json + "\"total_ns\":" + std::to_string(total_ns) +
+               ",\"total_calls\":" + std::to_string(total_calls) + "}";
+    }
+};
+
+/**
+ * Drain the recorder and sum the phase spans recorded since the last
+ * drain. Exits when the ring overflowed: the totals would be short.
+ */
+PhaseTotals
+drainPhases()
+{
+    const telemetry::TraceRecorder::DrainResult drained =
+        telemetry::TraceRecorder::global().drain();
+    if (drained.dropped > 0) {
+        std::cerr << "trace ring overflowed (" << drained.dropped
+                  << " spans dropped); phase totals would be short\n";
+        std::exit(1);
+    }
+    PhaseTotals totals;
+    for (const telemetry::TraceEvent& event : drained.events) {
+        for (std::size_t i = 0; i < kNumPhases; ++i) {
+            if (std::strcmp(event.name, kPhaseSpans[i]) == 0) {
+                totals.ns[i] += event.durationNs;
+                ++totals.calls[i];
+                break;
+            }
+        }
+    }
+    return totals;
+}
+
 /** One measured solve (fixed thread count or ISA level). */
 struct Run
 {
@@ -109,18 +213,9 @@ struct Run
     Count pcgIterations = 0;
     Real objective = 0.0;
     double speedup = 1.0;
-    HotPathProfile hotPath;
+    PhaseTotals phases;
     std::string backend;  ///< first-order engine label (telemetry)
 };
-
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
-}
 
 /** Best-of-`reps` solve of `qp` under the current global kernels. */
 Run
@@ -131,33 +226,21 @@ measureSolve(const QpProblem& qp, const OsqpSettings& settings,
     run.solveSeconds = 1e100;
     for (int rep = 0; rep < reps; ++rep) {
         OsqpSolver solver(qp, settings);
+        (void)drainPhases();  // only the solve's own spans count
         Timer timer;
         const OsqpResult result = solver.solve();
         const double seconds = timer.seconds();
+        const PhaseTotals phases = drainPhases();
         if (seconds < run.solveSeconds) {
             run.solveSeconds = seconds;
             run.kktSeconds = result.info.kktSolveTime;
             run.pcgIterations = result.info.pcgIterationsTotal;
             run.objective = result.info.objective;
-            run.hotPath = result.info.hotPath;
+            run.phases = phases;
             run.backend = result.info.telemetry.backend;
         }
     }
     return run;
-}
-
-double
-phaseMs(const HotPathProfile& hp, ProfilePhase phase)
-{
-    return static_cast<double>(hp[phase].nanoseconds) * 1e-6;
-}
-
-double
-spmvMs(const HotPathProfile& hp)
-{
-    return phaseMs(hp, ProfilePhase::SpmvP) +
-           phaseMs(hp, ProfilePhase::SpmvA) +
-           phaseMs(hp, ProfilePhase::SpmvAt);
 }
 
 double
@@ -172,6 +255,11 @@ int
 main(int argc, char** argv)
 {
     const Options options = parseOptions(argc, argv);
+    if (!telemetry::kTelemetryCompiled) {
+        std::cerr << "bench_hotpath: phase spans compiled out "
+                     "(RSQP_TELEMETRY=OFF); nothing to measure\n";
+        return 1;
+    }
     const Index sizes = options.quick ? 3 : options.sizesPerDomain;
     const int reps = options.quick ? 2 : 3;
 
@@ -198,6 +286,11 @@ main(int argc, char** argv)
 
     OsqpSettings settings;
     settings.backend = KktBackend::IndirectPcg;
+
+    // Size the solving thread's ring before it records its first span.
+    telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
+    recorder.setRingCapacity(kTraceRingEvents);
+    recorder.enable();
 
     // Sweep 1: thread counts at the active ISA level.
     std::vector<Run> runs;
@@ -234,6 +327,7 @@ main(int argc, char** argv)
         }
         simd::resetIsaLevel();
     }
+    recorder.disable();
     const Run& isa_scalar = isa_runs.front();
     const Run& isa_best = isa_runs.back();
 
@@ -262,13 +356,13 @@ main(int argc, char** argv)
             const Run& run = runs[i];
             std::cout << "    {\"threads\": " << run.threads
                       << ", \"solve_seconds\": "
-                      << formatDouble(run.solveSeconds, 6)
+                      << formatFixed(run.solveSeconds, 6)
                       << ", \"kkt_seconds\": "
-                      << formatDouble(run.kktSeconds, 6)
+                      << formatFixed(run.kktSeconds, 6)
                       << ", \"pcg_iterations\": " << run.pcgIterations
                       << ", \"speedup\": "
-                      << formatDouble(run.speedup, 3)
-                      << ", \"hot_path\": " << run.hotPath.toJson()
+                      << formatFixed(run.speedup, 3)
+                      << ", \"hot_path\": " << run.phases.toJson()
                       << "}" << (i + 1 < runs.size() ? "," : "")
                       << "\n";
         }
@@ -278,11 +372,11 @@ main(int argc, char** argv)
             const Run& run = isa_runs[i];
             std::cout << "    {\"isa\": \"" << isaLevelName(levels[i])
                       << "\", \"solve_seconds\": "
-                      << formatDouble(run.solveSeconds, 6)
+                      << formatFixed(run.solveSeconds, 6)
                       << ", \"kkt_seconds\": "
-                      << formatDouble(run.kktSeconds, 6)
+                      << formatFixed(run.kktSeconds, 6)
                       << ", \"pcg_iterations\": " << run.pcgIterations
-                      << ", \"hot_path\": " << run.hotPath.toJson()
+                      << ", \"hot_path\": " << run.phases.toJson()
                       << "}" << (i + 1 < isa_runs.size() ? "," : "")
                       << "\n";
         }
@@ -290,34 +384,25 @@ main(int argc, char** argv)
             << "  ],\n"
             << "  \"simd_speedup\": {\"isa\": \""
             << isaLevelName(levels.back()) << "\", \"solve\": "
-            << formatDouble(ratio(isa_scalar.solveSeconds,
-                                  isa_best.solveSeconds),
-                            3)
+            << formatFixed(ratio(isa_scalar.solveSeconds,
+                                 isa_best.solveSeconds),
+                           3)
             << ", \"spmv\": "
-            << formatDouble(ratio(spmvMs(isa_scalar.hotPath),
-                                  spmvMs(isa_best.hotPath)),
-                            3)
+            << formatFixed(ratio(isa_scalar.phases.spmvMs(),
+                                 isa_best.phases.spmvMs()),
+                           3)
             << ", \"fused\": "
-            << formatDouble(
-                   ratio(phaseMs(isa_scalar.hotPath,
-                                 ProfilePhase::FusedVectorOps),
-                         phaseMs(isa_best.hotPath,
-                                 ProfilePhase::FusedVectorOps)),
-                   3)
+            << formatFixed(ratio(isa_scalar.phases.ms(FusedVectorOps),
+                                 isa_best.phases.ms(FusedVectorOps)),
+                           3)
             << ", \"precond\": "
-            << formatDouble(
-                   ratio(phaseMs(isa_scalar.hotPath,
-                                 ProfilePhase::Precond),
-                         phaseMs(isa_best.hotPath,
-                                 ProfilePhase::Precond)),
-                   3)
+            << formatFixed(ratio(isa_scalar.phases.ms(Precond),
+                                 isa_best.phases.ms(Precond)),
+                           3)
             << ", \"reduce\": "
-            << formatDouble(
-                   ratio(phaseMs(isa_scalar.hotPath,
-                                 ProfilePhase::Reduction),
-                         phaseMs(isa_best.hotPath,
-                                 ProfilePhase::Reduction)),
-                   3)
+            << formatFixed(ratio(isa_scalar.phases.ms(Reduction),
+                                 isa_best.phases.ms(Reduction)),
+                           3)
             << "}\n}\n";
         return 0;
     }
@@ -330,24 +415,24 @@ main(int argc, char** argv)
               << " hardware; isa " << isa_active << " of "
               << isa_detected << " detected)\n";
     const auto ms = [](double value) {
-        return formatDouble(value, 2);
+        return formatFixed(value, 2);
     };
     TextTable table({"threads", "solve_s", "kkt_s", "pcg_iters",
                      "speedup", "spmv_p_ms", "spmv_a_ms", "spmv_at_ms",
                      "fused_ms", "precond_ms", "reduce_ms"});
     for (const Run& run : runs) {
-        const HotPathProfile& hp = run.hotPath;
+        const PhaseTotals& phases = run.phases;
         table.addRow({std::to_string(run.threads),
-                      formatDouble(run.solveSeconds, 6),
-                      formatDouble(run.kktSeconds, 6),
+                      formatFixed(run.solveSeconds, 6),
+                      formatFixed(run.kktSeconds, 6),
                       std::to_string(run.pcgIterations),
-                      formatDouble(run.speedup, 2),
-                      ms(phaseMs(hp, ProfilePhase::SpmvP)),
-                      ms(phaseMs(hp, ProfilePhase::SpmvA)),
-                      ms(phaseMs(hp, ProfilePhase::SpmvAt)),
-                      ms(phaseMs(hp, ProfilePhase::FusedVectorOps)),
-                      ms(phaseMs(hp, ProfilePhase::Precond)),
-                      ms(phaseMs(hp, ProfilePhase::Reduction))});
+                      formatFixed(run.speedup, 2),
+                      ms(phases.ms(SpmvP)),
+                      ms(phases.ms(SpmvA)),
+                      ms(phases.ms(SpmvAt)),
+                      ms(phases.ms(FusedVectorOps)),
+                      ms(phases.ms(Precond)),
+                      ms(phases.ms(Reduction))});
     }
     table.print(std::cout);
 
@@ -360,20 +445,17 @@ main(int argc, char** argv)
         const Run& run = isa_runs[i];
         isa_table.addRow(
             {isaLevelName(levels[i]),
-             formatDouble(run.solveSeconds, 6),
-             formatDouble(run.kktSeconds, 6),
-             ms(spmvMs(run.hotPath)),
-             ms(phaseMs(run.hotPath, ProfilePhase::FusedVectorOps)),
-             ms(phaseMs(run.hotPath, ProfilePhase::Precond)),
-             ms(phaseMs(run.hotPath, ProfilePhase::Reduction)),
-             formatDouble(
+             formatFixed(run.solveSeconds, 6),
+             formatFixed(run.kktSeconds, 6),
+             ms(run.phases.spmvMs()),
+             ms(run.phases.ms(FusedVectorOps)),
+             ms(run.phases.ms(Precond)),
+             ms(run.phases.ms(Reduction)),
+             formatFixed(
                  ratio(isa_scalar.solveSeconds, run.solveSeconds), 2),
-             formatDouble(
-                 ratio(phaseMs(isa_scalar.hotPath,
-                               ProfilePhase::FusedVectorOps),
-                       phaseMs(run.hotPath,
-                               ProfilePhase::FusedVectorOps)),
-                 2)});
+             formatFixed(ratio(isa_scalar.phases.ms(FusedVectorOps),
+                               run.phases.ms(FusedVectorOps)),
+                         2)});
     }
     isa_table.print(std::cout);
     return 0;

@@ -25,7 +25,6 @@
 
 #include <future>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -90,15 +89,6 @@ struct Row
     bool warmCacheHit = false;
     bool warmBitwiseEqual = false;
 };
-
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
-}
 
 /** Same structure, different numbers: the cache-hit probe problem. */
 QpProblem
@@ -218,13 +208,13 @@ main(int argc, char** argv)
                       << ", \"m\": " << row.m
                       << ", \"nnz\": " << row.nnz
                       << ", \"cold_setup_seconds\": "
-                      << formatDouble(row.coldSetupSeconds, 6)
+                      << formatFixed(row.coldSetupSeconds, 6)
                       << ", \"warm_setup_seconds\": "
-                      << formatDouble(row.warmSetupSeconds, 6)
+                      << formatFixed(row.warmSetupSeconds, 6)
                       << ", \"setup_speedup\": "
-                      << formatDouble(row.setupSpeedup, 3)
+                      << formatFixed(row.setupSpeedup, 3)
                       << ", \"parametric_solve_seconds\": "
-                      << formatDouble(row.parametricSeconds, 6)
+                      << formatFixed(row.parametricSeconds, 6)
                       << ", \"cold_status\": \""
                       << bench::jsonEscape(row.coldStatus)
                       << "\", \"warm_cache_hit\": "
@@ -238,7 +228,7 @@ main(int argc, char** argv)
                   << burstSessions
                   << ", \"requests\": " << burstSessions * burstRepeats
                   << ", \"wall_seconds\": "
-                  << formatDouble(burstSeconds, 6) << "},\n"
+                  << formatFixed(burstSeconds, 6) << "},\n"
                   << "  \"cache\": {\"hits\": " << stats.cache.hits
                   << ", \"misses\": " << stats.cache.misses
                   << ", \"evictions\": " << stats.cache.evictions
@@ -266,16 +256,16 @@ main(int argc, char** argv)
                      "speedup", "parametric_s", "hit", "bitwise"});
     for (const Row& row : rows)
         table.addRow({row.name, std::to_string(row.nnz),
-                      formatDouble(row.coldSetupSeconds, 6),
-                      formatDouble(row.warmSetupSeconds, 6),
-                      formatDouble(row.setupSpeedup, 2),
-                      formatDouble(row.parametricSeconds, 6),
+                      formatFixed(row.coldSetupSeconds, 6),
+                      formatFixed(row.warmSetupSeconds, 6),
+                      formatFixed(row.setupSpeedup, 2),
+                      formatFixed(row.parametricSeconds, 6),
                       row.warmCacheHit ? "yes" : "NO",
                       row.warmBitwiseEqual ? "yes" : "NO"});
     table.print(std::cout);
     std::cout << "\nburst: " << burstSessions << " sessions x "
               << burstRepeats << " requests in "
-              << formatDouble(burstSeconds, 3) << " s\n"
+              << formatFixed(burstSeconds, 3) << " s\n"
               << "cache: " << stats.cache.hits << " hits, "
               << stats.cache.misses << " misses, footprint "
               << stats.cache.footprintBytes << " bytes\n";

@@ -48,7 +48,6 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,15 +183,6 @@ sortedPercentile(const std::vector<double>& sorted, double q)
         std::max(1.0, std::min(rank,
                                static_cast<double>(sorted.size()))));
     return sorted[index - 1];
-}
-
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
 }
 
 /** Per-class SLO targets of the report (goodput fractions). */
@@ -503,16 +493,16 @@ main(int argc, char** argv)
                   << "  \"config\": {\"seed\": " << options.seed
                   << ", \"requests\": " << total
                   << ", \"rate_per_s\": "
-                  << formatDouble(options.ratePerSecond, 1)
+                  << formatFixed(options.ratePerSecond, 1)
                   << ", \"cores\": " << options.cores
                   << ", \"quick\": "
                   << (options.quick ? "true" : "false")
                   << ", \"p99_bound_seconds\": "
-                  << formatDouble(options.p99BoundSeconds, 4)
+                  << formatFixed(options.p99BoundSeconds, 4)
                   << "},\n"
                   << "  \"trace\": {\"structures\": " << bases.size()
                   << ", \"duration_seconds\": "
-                  << formatDouble(duration, 4) << "},\n"
+                  << formatFixed(duration, 4) << "},\n"
                   << "  \"totals\": {\"submitted\": "
                   << stats.submitted
                   << ", \"callbacks\": " << callbacks.load()
@@ -523,7 +513,7 @@ main(int argc, char** argv)
                   << ", \"cancelled\": " << stats.cancelled
                   << ", \"expired\": " << stats.expired
                   << ", \"wall_seconds\": "
-                  << formatDouble(wallSeconds, 4) << "},\n"
+                  << formatFixed(wallSeconds, 4) << "},\n"
                   << "  \"classes\": [";
         bool first = true;
         for (AdmissionClass cls :
@@ -538,21 +528,21 @@ main(int argc, char** argv)
                       << ", \"shed\": " << row.stats->shed
                       << ", \"expired\": " << row.stats->expired
                       << ", \"goodput\": "
-                      << formatDouble(row.goodput, 4)
+                      << formatFixed(row.goodput, 4)
                       << ", \"p50_ms\": "
-                      << formatDouble(row.p50 * 1e3, 3)
+                      << formatFixed(row.p50 * 1e3, 3)
                       << ", \"p99_ms\": "
-                      << formatDouble(row.p99 * 1e3, 3)
+                      << formatFixed(row.p99 * 1e3, 3)
                       << ", \"p999_ms\": "
-                      << formatDouble(row.p999 * 1e3, 3)
+                      << formatFixed(row.p999 * 1e3, 3)
                       << ", \"mean_queue_wait_ms\": "
-                      << formatDouble(row.meanQueueWait * 1e3, 3)
+                      << formatFixed(row.meanQueueWait * 1e3, 3)
                       << ", \"mean_service_ms\": "
-                      << formatDouble(row.meanService * 1e3, 3)
+                      << formatFixed(row.meanService * 1e3, 3)
                       << ", \"slo_target\": "
-                      << formatDouble(row.target, 2)
+                      << formatFixed(row.target, 2)
                       << ", \"error_budget_used\": "
-                      << formatDouble(row.budgetUsed, 4) << "}";
+                      << formatFixed(row.budgetUsed, 4) << "}";
             first = false;
         }
         std::cout << "\n  ],\n  \"gates\": {\"zero_lost\": "
@@ -566,16 +556,16 @@ main(int argc, char** argv)
                   << ", \"realtime_p99_within_bound\": "
                   << (gateRealtimeP99 ? "true" : "false")
                   << ", \"realtime_p99_seconds\": "
-                  << formatDouble(realtimeP99, 4)
+                  << formatFixed(realtimeP99, 4)
                   << ", \"class_series_exposed\": "
                   << (gateClassSeries ? "true" : "false")
                   << "}\n}\n";
     } else {
         std::cout << "# soak: " << total << " requests open-loop at "
-                  << formatDouble(options.ratePerSecond, 0)
+                  << formatFixed(options.ratePerSecond, 0)
                   << " req/s, " << options.cores << " cores, seed "
                   << options.seed << ", wall "
-                  << formatDouble(wallSeconds, 2) << " s\n";
+                  << formatFixed(wallSeconds, 2) << " s\n";
         TextTable table({"class", "submitted", "solved", "goodput",
                          "shed", "rejected", "p50_ms", "p99_ms",
                          "p999_ms", "qwait_ms", "svc_ms",
@@ -587,22 +577,22 @@ main(int argc, char** argv)
             table.addRow({row.name,
                           std::to_string(row.stats->submitted),
                           std::to_string(row.stats->solved),
-                          formatDouble(row.goodput, 3),
+                          formatFixed(row.goodput, 3),
                           std::to_string(row.stats->shed),
                           std::to_string(row.stats->rejected),
-                          formatDouble(row.p50 * 1e3, 2),
-                          formatDouble(row.p99 * 1e3, 2),
-                          formatDouble(row.p999 * 1e3, 2),
-                          formatDouble(row.meanQueueWait * 1e3, 2),
-                          formatDouble(row.meanService * 1e3, 2),
-                          formatDouble(row.budgetUsed, 3)});
+                          formatFixed(row.p50 * 1e3, 2),
+                          formatFixed(row.p99 * 1e3, 2),
+                          formatFixed(row.p999 * 1e3, 2),
+                          formatFixed(row.meanQueueWait * 1e3, 2),
+                          formatFixed(row.meanService * 1e3, 2),
+                          formatFixed(row.budgetUsed, 3)});
         }
         table.print(std::cout);
         std::cout << "lost " << lost << "  realtime_shed "
                   << realtime.shed << "  batch_shed " << batch.shed
                   << "  realtime_p99_s "
-                  << formatDouble(realtimeP99, 4) << " (bound "
-                  << formatDouble(options.p99BoundSeconds, 2)
+                  << formatFixed(realtimeP99, 4) << " (bound "
+                  << formatFixed(options.p99BoundSeconds, 2)
                   << ")\n";
     }
 

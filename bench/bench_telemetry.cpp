@@ -1,8 +1,8 @@
 /**
  * @file
  * Telemetry overhead proof: solve the bench_hotpath workload (largest
- * generated suite problem) repeatedly with trace spans + timed
- * instrumentation runtime-enabled and runtime-disabled in back-to-back
+ * generated suite problem) repeatedly with trace spans (the PCG phase
+ * spans included) runtime-enabled and runtime-disabled in back-to-back
  * pairs of alternating order, and report the median of the per-pair
  * relative differences. Ambient interference (scheduler, neighbor
  * load, frequency scaling) drifts on timescales longer than one pair,
@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -73,26 +72,6 @@ parseOptions(int argc, char** argv)
     if (options.reps <= 0)
         options.reps = options.quick ? 15 : 41;
     return options;
-}
-
-double
-median(std::vector<double> values)
-{
-    std::sort(values.begin(), values.end());
-    const std::size_t n = values.size();
-    if (n == 0)
-        return 0.0;
-    return n % 2 == 1 ? values[n / 2]
-                      : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
 }
 
 /** One timed solve; returns wall seconds and checks the objective. */
@@ -219,8 +198,8 @@ main(int argc, char** argv)
         return 1;
     }
 
-    const double median_off = median(off_seconds);
-    const double median_on = median(on_seconds);
+    const double median_off = percentile(off_seconds, 50.0);
+    const double median_on = percentile(on_seconds, 50.0);
     const double min_off =
         *std::min_element(off_seconds.begin(), off_seconds.end());
     const double min_on =
@@ -232,7 +211,7 @@ main(int argc, char** argv)
     for (std::size_t i = 0; i < off_seconds.size(); ++i)
         pair_overheads.push_back(
             (on_seconds[i] - off_seconds[i]) / off_seconds[i] * 100.0);
-    const double overhead_percent = median(pair_overheads);
+    const double overhead_percent = percentile(pair_overheads, 50.0);
 
     // Registry sanity: the ADMM loop counted every solve of this
     // process (warm-up + both arms).
@@ -261,15 +240,15 @@ main(int argc, char** argv)
                   << (telemetry::kTelemetryCompiled ? "false" : "true")
                   << ",\n"
                   << "  \"min_off_seconds\": "
-                  << formatDouble(min_off, 6) << ",\n"
+                  << formatFixed(min_off, 6) << ",\n"
                   << "  \"min_on_seconds\": "
-                  << formatDouble(min_on, 6) << ",\n"
+                  << formatFixed(min_on, 6) << ",\n"
                   << "  \"median_off_seconds\": "
-                  << formatDouble(median_off, 6) << ",\n"
+                  << formatFixed(median_off, 6) << ",\n"
                   << "  \"median_on_seconds\": "
-                  << formatDouble(median_on, 6) << ",\n"
+                  << formatFixed(median_on, 6) << ",\n"
                   << "  \"overhead_percent\": "
-                  << formatDouble(overhead_percent, 3) << ",\n"
+                  << formatFixed(overhead_percent, 3) << ",\n"
                   << "  \"trace_events\": " << trace.events.size()
                   << ",\n"
                   << "  \"trace_dropped\": " << trace.dropped << ",\n"
@@ -283,13 +262,13 @@ main(int argc, char** argv)
                                                 : "compiled out")
               << ")\n";
     TextTable table({"arm", "min_seconds", "median_seconds"});
-    table.addRow({"telemetry off", formatDouble(min_off, 6),
-                  formatDouble(median_off, 6)});
-    table.addRow({"telemetry on", formatDouble(min_on, 6),
-                  formatDouble(median_on, 6)});
+    table.addRow({"telemetry off", formatFixed(min_off, 6),
+                  formatFixed(median_off, 6)});
+    table.addRow({"telemetry on", formatFixed(min_on, 6),
+                  formatFixed(median_on, 6)});
     table.print(std::cout);
     std::cout << "overhead (median of per-pair diffs): "
-              << formatDouble(overhead_percent, 3) << "% over "
+              << formatFixed(overhead_percent, 3) << "% over "
               << options.reps << " interleaved reps ("
               << trace.events.size() << " spans, " << trace.dropped
               << " dropped)\n";

@@ -242,15 +242,6 @@ fillSpeedups(std::vector<Row>& rows)
             row.speedup = serial[row.kernel] / row.seconds;
 }
 
-std::string
-formatDouble(double value, int precision)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
-}
-
 } // namespace
 
 int
@@ -273,9 +264,9 @@ main(int argc, char** argv)
                       << bench::jsonEscape(row.kernel)
                       << "\", \"threads\": " << row.threads
                       << ", \"seconds\": "
-                      << formatDouble(row.seconds, 6)
+                      << formatFixed(row.seconds, 6)
                       << ", \"speedup\": "
-                      << formatDouble(row.speedup, 3) << "}"
+                      << formatFixed(row.speedup, 3) << "}"
                       << (i + 1 < rows.size() ? "," : "") << "\n";
         }
         std::cout << "]\n";
@@ -285,8 +276,8 @@ main(int argc, char** argv)
     TextTable table({"kernel", "threads", "seconds", "speedup"});
     for (const Row& row : rows)
         table.addRow({row.kernel, std::to_string(row.threads),
-                      formatDouble(row.seconds, 6),
-                      formatDouble(row.speedup, 2)});
+                      formatFixed(row.seconds, 6),
+                      formatFixed(row.speedup, 2)});
     std::cout << "# threaded hot-path scaling (host threads: "
               << hardwareConcurrency() << " hardware)\n";
     if (options.csv)

@@ -380,7 +380,6 @@ PdhgSolver::solve()
     info.iterations = 0;
     info.rhoUpdates = 0;
     info.pcgIterationsTotal = 0;
-    info.hotPath = HotPathProfile{};
     info.recovery = RecoveryReport{};
     info.telemetry = SolveTelemetry{};
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "common/profile.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "telemetry/trace.hpp"
@@ -306,7 +305,7 @@ ReducedKktOperator::apply(const Vector& x, Vector& y) const
     const simd::VectorKernels& k = simd::activeKernels();
     {
         // y = (P + sigma I) x on the full symmetric CSR image.
-        ProfileScope profile(ProfilePhase::SpmvP);
+        TELEMETRY_SPAN("kkt.spmv_p");
         parallelForRange(n, [&](Index rb, Index re) {
             k.csrRowsGatherShift(pRowPtr_.data(), pColIdx_.data(),
                                  pVals_.data(), rb, re, sigma_, x.data(),
@@ -316,7 +315,7 @@ ReducedKktOperator::apply(const Vector& x, Vector& y) const
     {
         // y += A' diag(rho) A x in one pass over A's CSR mirror: each
         // row's dot is scattered back while the row is still in cache.
-        ProfileScope profile(ProfilePhase::SpmvA);
+        TELEMETRY_SPAN("kkt.spmv_a");
         const Index blocks = static_cast<Index>(aBlockRow_.size()) - 1;
         const auto block_acc = [&](Index b) {
             return blockAcc_.data() + static_cast<std::size_t>(b - 1) * n;
@@ -363,7 +362,7 @@ ReducedKktOperator::applyA(const Vector& x, Vector& z) const
     RSQP_ASSERT(static_cast<Index>(x.size()) == a_->cols(),
                 "applyA: x size");
     z.resize(static_cast<std::size_t>(m));
-    ProfileScope profile(ProfilePhase::SpmvA);
+    TELEMETRY_SPAN("kkt.spmv_a");
     const simd::VectorKernels& k = simd::activeKernels();
     parallelForRange(m, [&](Index rb, Index re) {
         for (Index r = rb; r < re; ++r) {
@@ -386,7 +385,7 @@ ReducedKktOperator::accumulateAtRho(const Vector& x, Vector& y) const
                 "accumulateAtRho: x size");
     RSQP_ASSERT(static_cast<Index>(y.size()) == n,
                 "accumulateAtRho: y size");
-    ProfileScope profile(ProfilePhase::SpmvAt);
+    TELEMETRY_SPAN("kkt.spmv_at");
     const auto& col_ptr = a_->colPtr();
     const auto& row_idx = a_->rowIdx();
     const auto& values = a_->values();

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.hpp"
-#include "common/profile.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/simd_kernels.hpp"
 
@@ -130,7 +129,6 @@ Real
 dot(const Vector& x, const Vector& y)
 {
     checkSameSize(x, y, "dot");
-    ProfileScope profile(ProfilePhase::Reduction);
     const simd::VectorKernels& k = simd::activeKernels();
     if (chunkedReduction(x.size())) {
         return chunkedSum(static_cast<Index>(x.size()),
@@ -147,7 +145,6 @@ axpyDot(Real alpha, const Vector& x, Vector& y, const Vector& z)
 {
     checkSameSize(x, y, "axpyDot");
     checkSameSize(y, z, "axpyDot");
-    ProfileScope profile(ProfilePhase::FusedVectorOps);
     const simd::VectorKernels& k = simd::activeKernels();
     if (chunkedReduction(x.size())) {
         // Each chunk updates its own slice of y before reducing over
@@ -171,7 +168,6 @@ xMinusAlphaPDot(Real alpha, const Vector& p, Vector& x, const Vector& kp,
     checkSameSize(p, x, "xMinusAlphaPDot");
     checkSameSize(p, kp, "xMinusAlphaPDot");
     checkSameSize(p, r, "xMinusAlphaPDot");
-    ProfileScope profile(ProfilePhase::FusedVectorOps);
     const simd::VectorKernels& k = simd::activeKernels();
     if (chunkedReduction(p.size())) {
         return chunkedSum(static_cast<Index>(p.size()),
@@ -190,7 +186,6 @@ precondApplyDot(const Vector& inv_diag, const Vector& r, Vector& d)
 {
     checkSameSize(inv_diag, r, "precondApplyDot");
     checkSameSize(r, d, "precondApplyDot");
-    ProfileScope profile(ProfilePhase::Precond);
     const simd::VectorKernels& k = simd::activeKernels();
     if (chunkedReduction(r.size())) {
         return chunkedSum(static_cast<Index>(r.size()),

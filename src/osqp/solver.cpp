@@ -334,7 +334,6 @@ OsqpSolver::solve()
     info.iterations = 0;
     info.rhoUpdates = 0;
     info.pcgIterationsTotal = 0;
-    info.hotPath = HotPathProfile{};
     info.recovery = RecoveryReport{};
     info.telemetry = SolveTelemetry{};
 
@@ -351,9 +350,6 @@ OsqpSolver::solve()
         sigmaEff_ = settings_.sigma;
         rebuildKktSolver();
     }
-    // Per-solve hot-path counters: zero the backend's profiler so
-    // info.hotPath reports this solve only.
-    kkt_->resetHotPathProfile();
 
     // Soft-error source for the software PCG path (tests/bench only);
     // each solve sees a fresh deterministic fault pattern.
@@ -682,8 +678,6 @@ OsqpSolver::solve()
 
     info.solveTime = solve_timer.seconds();
     info.kktSolveTime = kkt_timer.totalSeconds();
-    if (const HotPathProfiler* profiler = kkt_->hotPathProfiler())
-        info.hotPath = profiler->snapshot();
 
     // Per-solve telemetry record + process-wide aggregates. The
     // registry adds happen once per solve (never per iteration), so

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/profile.hpp"
 #include "common/types.hpp"
 #include "osqp/recovery.hpp"
 #include "osqp/validate.hpp"
@@ -72,10 +71,6 @@ struct OsqpInfo
     double solveTime = 0.0;    ///< seconds spent in solve()
     double kktSolveTime = 0.0; ///< seconds inside the KKT backend
                                ///< (the Fig. 8 numerator)
-
-    /// Per-phase hot-path counters of this solve (indirect backend
-    /// with PcgSettings::profile; all-zero otherwise).
-    HotPathProfile hotPath;
 
     RecoveryReport recovery;   ///< every recovery action of the solve
 

@@ -195,7 +195,6 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
         result.objective = run.info.objective;
         result.primRes = run.info.primRes;
         result.dualRes = run.info.dualRes;
-        result.hotPath = run.info.hotPath;
         result.telemetry = run.info.telemetry;
     }
     result.solveSeconds = secondsSince(solveStart);

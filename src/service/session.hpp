@@ -75,7 +75,6 @@ struct SessionResult
     double setupSeconds = 0.0;  ///< solver (re)build incl. customization
     double solveSeconds = 0.0;  ///< wall clock of the solve itself
     Real deviceSeconds = 0.0;   ///< Device engine: simulated wall clock
-    HotPathProfile hotPath;     ///< Host/PCG per-phase counters
     ValidationReport validation;  ///< filled when InvalidProblem
 
     /** Times this job was re-placed off a failed core before running

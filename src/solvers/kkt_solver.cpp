@@ -152,10 +152,6 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
                          Vector& x_tilde, Vector& z_tilde)
 {
     TELEMETRY_SPAN("kkt.pcg");
-    // Record the hot-path phases of everything below (rhs build, PCG
-    // loop, final A x) into this solver's profiler.
-    HotPathProfilerScope profile_scope(
-        pcgSettings_.profile ? &profiler_ : nullptr);
 
     // b = rhs_x + A' diag(rho) rhs_z — rho .* rhs_z goes into the
     // operator's length-m scratch, then A's columns gather against it.
@@ -187,8 +183,6 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
             // Re-warm PCG from the trustworthy direct solution so the
             // next step starts from a clean Krylov state.
             warmX_ = x_tilde;
-            if (pcgSettings_.profile)
-                stats.hotPath = profiler_.snapshot();
             return stats;
         }
         // No fallback: surrender the poisoned warm start (a NaN here
@@ -199,8 +193,6 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
         else
             warmX_ = x_tilde;
         op_.applyA(x_tilde, z_tilde);
-        if (pcgSettings_.profile)
-            stats.hotPath = profiler_.snapshot();
         return stats;
     }
 
@@ -210,8 +202,6 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
     warmX_ = x_tilde;
 
     op_.applyA(x_tilde, z_tilde);
-    if (pcgSettings_.profile)
-        stats.hotPath = profiler_.snapshot();
     return stats;
 }
 

@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/profile.hpp"
 #include "common/types.hpp"
 #include "linalg/csc.hpp"
 #include "linalg/kkt.hpp"
@@ -34,9 +33,6 @@ struct KktSolveStats
     bool refactorized = false; ///< direct backend only
     bool usedFallback = false; ///< PCG broke down; LDL' solved the step
     PcgBreakdown pcgBreakdown = PcgBreakdown::None;
-    /// Cumulative hot-path counters through this solve (indirect
-    /// backend with PcgSettings::profile only; zeros otherwise).
-    HotPathProfile hotPath;
 };
 
 /**
@@ -74,15 +70,6 @@ class KktSolver
 
     /** Cumulative PCG iterations (0 for direct). */
     virtual Count totalPcgIterations() const { return 0; }
-
-    /** Hot-path profiler, when the backend records one (else null). */
-    virtual const HotPathProfiler* hotPathProfiler() const
-    {
-        return nullptr;
-    }
-
-    /** Zero the hot-path counters (no-op without a profiler). */
-    virtual void resetHotPathProfile() {}
 };
 
 /** LDL'-based direct backend (OSQP's default "qdldl" backend). */
@@ -141,14 +128,6 @@ class IndirectKktSolver : public KktSolver
     const char* name() const override { return "indirect-pcg"; }
     Count totalPcgIterations() const override { return totalPcgIters_; }
 
-    const HotPathProfiler*
-    hotPathProfiler() const override
-    {
-        return pcgSettings_.profile ? &profiler_ : nullptr;
-    }
-
-    void resetHotPathProfile() override { profiler_.reset(); }
-
     /** Iterations used by the most recent solve. */
     Index lastPcgIterations() const { return lastPcgIters_; }
 
@@ -174,7 +153,6 @@ class IndirectKktSolver : public KktSolver
     Vector warmX_;     ///< previous solution for warm starting
     Vector reducedRhs_;
     PcgWorkspace pcgWorkspace_;  ///< persistent CG vectors (no realloc)
-    HotPathProfiler profiler_;   ///< active while this solver solves
     Index lastPcgIters_ = 0;
     Count totalPcgIters_ = 0;
     Count solveCount_ = 0;  ///< drives the adaptive tolerance schedule

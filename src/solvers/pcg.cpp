@@ -5,8 +5,8 @@
 
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
-#include "common/profile.hpp"
 #include "linalg/vector_ops.hpp"
+#include "telemetry/trace.hpp"
 
 namespace rsqp
 {
@@ -58,6 +58,20 @@ namespace
 {
 
 /**
+ * fn() inside the phase span `name` (a string literal). The CG loop's
+ * vector work is traced here, at its call sites, not inside the
+ * vector_ops kernels: the ADMM loop and the simulated machine call
+ * those kernels too and must not record PCG phases.
+ */
+template <typename F>
+auto
+inPhase([[maybe_unused]] const char* name, F&& fn)
+{
+    TELEMETRY_SPAN(name);
+    return fn();
+}
+
+/**
  * The shared CG loop, templated on the operator so the hot
  * ReducedKktOperator path never goes through a std::function.
  *
@@ -84,7 +98,7 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
     Vector& kp = ws.kp;
 
     PcgResult result;
-    const Real b_norm = norm2(b);
+    const Real b_norm = inPhase("pcg.reduction", [&] { return norm2(b); });
     const Real threshold =
         std::max(settings.epsAbs, settings.epsRel * b_norm);
 
@@ -103,7 +117,7 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
                                 fault_streams::kPcgOperator + call_offset);
     axpby(1.0, b, -1.0, r, r);
 
-    Real r_norm = norm2(r);
+    Real r_norm = inPhase("pcg.reduction", [&] { return norm2(r); });
     if (!std::isfinite(r_norm)) {
         result.breakdown = PcgBreakdown::NonFiniteResidual;
         result.residualNorm = r_norm;
@@ -119,7 +133,8 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
     RSQP_ASSERT(inv_diag.size() == n, "preconditioner size");
 
     // d0 = M^-1 r0 and rd = r'd in one pass; p0 = d0.
-    Real rd = precondApplyDot(inv_diag, r, d);
+    Real rd = inPhase("pcg.precond",
+                      [&] { return precondApplyDot(inv_diag, r, d); });
     std::copy(d.begin(), d.end(), p.begin());
 
     Real best_r_norm = r_norm;
@@ -134,7 +149,8 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
             injector->corruptVector(
                 kp, fault_streams::kPcgOperator + call_offset +
                         static_cast<std::uint64_t>(iter) + 1);
-        const Real pkp = dot(p, kp);
+        const Real pkp =
+            inPhase("pcg.reduction", [&] { return dot(p, kp); });
         if (!std::isfinite(pkp) || pkp <= 0.0) {
             // Indefinite or corrupted direction: K stopped acting
             // positive definite on this Krylov subspace.
@@ -144,7 +160,9 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
         }
         const Real lambda = rd / pkp;
         // x += lambda p, r -= lambda kp and ||r||^2 in a single pass.
-        const Real rr = xMinusAlphaPDot(lambda, p, x, kp, r);
+        const Real rr = inPhase("pcg.fused_vector_ops", [&] {
+            return xMinusAlphaPDot(lambda, p, x, kp, r);
+        });
 
         ++result.iterations;
         r_norm = std::sqrt(rr);
@@ -168,13 +186,11 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
         }
 
         // d = M^-1 r and rd' = r'd fused; then p = d + mu p.
-        const Real rd_next = precondApplyDot(inv_diag, r, d);
+        const Real rd_next = inPhase(
+            "pcg.precond", [&] { return precondApplyDot(inv_diag, r, d); });
         const Real mu = rd_next / rd;
         rd = rd_next;
-        {
-            ProfileScope profile(ProfilePhase::FusedVectorOps);
-            axpby(1.0, d, mu, p, p);
-        }
+        inPhase("pcg.fused_vector_ops", [&] { axpby(1.0, d, mu, p, p); });
     }
     result.residualNorm = r_norm;
     return result;

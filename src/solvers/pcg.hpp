@@ -75,14 +75,6 @@ struct PcgSettings
      * cap-out never triggers the fallback — only a breakdown does.
      */
     bool directFallback = true;
-
-    /**
-     * Record per-phase hot-path counters (SpMV passes, fused kernels,
-     * reductions) during IndirectKktSolver solves; surfaced through
-     * KktSolveStats/OsqpInfo. Costs one thread-local read plus two
-     * clock reads per instrumented kernel call.
-     */
-    bool profile = true;
 };
 
 /** Why a PCG solve gave up before converging. */

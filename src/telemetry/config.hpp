@@ -4,8 +4,9 @@
  *
  * The build defines RSQP_TELEMETRY_DISABLED (via -DRSQP_TELEMETRY=OFF
  * at configure time) to compile out the hot-path instrumentation:
- * TELEMETRY_SPAN expands to nothing and the timed sections guarded by
- * RSQP_TELEMETRY_ENABLED disappear. The metrics registry itself stays
+ * TELEMETRY_SPAN expands to nothing (the PCG phase spans included)
+ * and the thread pool's queue-wait stamping, guarded by
+ * RSQP_TELEMETRY_ENABLED, disappears. The metrics registry itself stays
  * functional in both modes — service-level counters (queue depth,
  * cache hits, per-session solves) are control-plane state that the
  * serving layer depends on, not optional profiling.

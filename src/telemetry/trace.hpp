@@ -4,6 +4,15 @@
  * ring buffers, drained as Chrome trace_event JSON (load the output
  * of drainJson() in chrome://tracing or Perfetto).
  *
+ * Spans are the stack's one instrumentation path, from a service
+ * request down to the PCG kernels. The hot-path phase spans
+ * (kkt.spmv_p, kkt.spmv_a, kkt.spmv_at, pcg.fused_vector_ops,
+ * pcg.precond, pcg.reduction) split each indirect KKT solve into its
+ * SpMV passes and vector-engine work: the software twin of the
+ * per-stage utilization counters an RSQP bitstream exposes over its
+ * status registers. Summing them per name over a drain gives the
+ * per-phase breakdown (bench_hotpath does exactly that).
+ *
  * Cost model: with tracing disabled at runtime a TELEMETRY_SPAN is a
  * relaxed atomic load plus one branch; enabled it adds two
  * steady_clock reads and a short uncontended mutex hold on the

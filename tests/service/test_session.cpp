@@ -174,7 +174,7 @@ TEST(SolverSession, InvalidProblemLeavesSessionStateUntouched)
     EXPECT_TRUE(good.warmStarted);
 }
 
-TEST(SolverSession, HostEngineSolvesAndProfilesHotPath)
+TEST(SolverSession, HostEngineSolvesAndTakesParametricPath)
 {
     SessionConfig config;
     config.engine = SessionEngine::Host;
@@ -184,7 +184,6 @@ TEST(SolverSession, HostEngineSolvesAndProfilesHotPath)
 
     const SessionResult result = session.solve(qp);
     ASSERT_EQ(result.status, SolveStatus::Solved);
-    EXPECT_GT(result.hotPath.totalCalls(), 0u);
 
     const SessionResult repeat = session.solve(withScaledCost(qp, 2.0));
     ASSERT_EQ(repeat.status, SolveStatus::Solved);

@@ -1,14 +1,20 @@
 /**
  * @file
  * KKT backend tests: the direct LDL' and indirect PCG backends must
- * agree on the ADMM step solution, honor rho updates, and report
- * sensible statistics.
+ * agree on the ADMM step solution, honor rho updates, report
+ * sensible statistics, and trace the PCG hot-path phases.
  */
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "linalg/vector_ops.hpp"
 #include "solvers/kkt_solver.hpp"
+#include "telemetry/trace.hpp"
 #include "tests/test_util.hpp"
 
 namespace rsqp
@@ -207,41 +213,72 @@ TEST_F(KktSolverFixture, IndirectUpdateMatrixValuesMatchesFreshSolver)
     EXPECT_LT(test::maxAbsDiff(z1, z2), 1e-7);
 }
 
-TEST_F(KktSolverFixture, IndirectReportsHotPathProfile)
+#if RSQP_TELEMETRY_ENABLED
+TEST_F(KktSolverFixture, IndirectSolveRecordsPhaseSpans)
 {
+    using telemetry::TraceEvent;
+    using telemetry::TraceRecorder;
+    const std::vector<std::string> phases = {
+        "kkt.spmv_p", "kkt.spmv_a", "kkt.spmv_at",
+        "pcg.fused_vector_ops", "pcg.precond", "pcg.reduction"};
+    const auto is_phase = [&](const TraceEvent& event) {
+        return std::find(phases.begin(), phases.end(), event.name) !=
+               phases.end();
+    };
+    TraceRecorder& recorder = TraceRecorder::global();
+    recorder.disable();
+    (void)recorder.drain();
+
     IndirectKktSolver indirect(p, a, sigma, rho, tightPcg());
-    ASSERT_NE(indirect.hotPathProfiler(), nullptr);
     Vector x, z;
-    const KktSolveStats stats = indirect.solve(rhs_x, rhs_z, x, z);
-    // Every phase family runs at least once per solve: the three SpMV
-    // passes per operator apply, the fused updates and preconditioner
-    // applies in the CG loop, and the p'Kp reduction.
-    EXPECT_GT(stats.hotPath[ProfilePhase::SpmvP].calls, 0u);
-    EXPECT_GT(stats.hotPath[ProfilePhase::SpmvA].calls, 0u);
-    EXPECT_GT(stats.hotPath[ProfilePhase::SpmvAt].calls, 0u);
-    EXPECT_GT(stats.hotPath[ProfilePhase::FusedVectorOps].calls, 0u);
-    EXPECT_GT(stats.hotPath[ProfilePhase::Precond].calls, 0u);
-    EXPECT_GT(stats.hotPath[ProfilePhase::Reduction].calls, 0u);
+    recorder.enable();
+    indirect.solve(rhs_x, rhs_z, x, z);
+    recorder.disable();
+    const std::vector<TraceEvent> events = recorder.drain().events;
 
-    // Counters accumulate across solves and reset on demand.
-    Vector x2, z2;
-    const KktSolveStats stats2 = indirect.solve(rhs_x, rhs_z, x2, z2);
-    EXPECT_GE(stats2.hotPath.totalCalls(), stats.hotPath.totalCalls());
-    indirect.resetHotPathProfile();
-    EXPECT_EQ(indirect.hotPathProfiler()->snapshot().totalCalls(), 0u);
+    // Every phase runs at least once per solve, on the caller's thread
+    // and nested inside that solve's kkt.pcg span.
+    const auto pcg = std::find_if(
+        events.begin(), events.end(), [](const TraceEvent& event) {
+            return std::string(event.name) == "kkt.pcg";
+        });
+    ASSERT_NE(pcg, events.end());
+    std::set<std::string> seen;
+    for (const TraceEvent& event : events) {
+        if (!is_phase(event))
+            continue;
+        seen.insert(event.name);
+        EXPECT_EQ(event.tid, pcg->tid) << event.name;
+        EXPECT_GE(event.startNs, pcg->startNs) << event.name;
+        EXPECT_LE(event.startNs + event.durationNs,
+                  pcg->startNs + pcg->durationNs)
+            << event.name;
+    }
+    EXPECT_EQ(seen.size(), phases.size());
+
+    // The direct backend and the shared vector kernels record no
+    // phases, and a disabled recorder records nothing at all.
+    DirectKktSolver direct(p, a, sigma, rho);
+    recorder.enable();
+    direct.solve(rhs_x, rhs_z, x, z);
+    (void)dot(rhs_x, rhs_x);
+    recorder.disable();
+    indirect.solve(rhs_x, rhs_z, x, z);
+    for (const TraceEvent& event : recorder.drain().events)
+        EXPECT_FALSE(is_phase(event)) << event.name;
 }
-
-TEST_F(KktSolverFixture, ProfilingCanBeDisabled)
+#else
+TEST_F(KktSolverFixture, IndirectSolveRecordsNoSpansCompiledOut)
 {
-    PcgSettings settings = tightPcg();
-    settings.profile = false;
-    IndirectKktSolver indirect(p, a, sigma, rho, settings);
-    EXPECT_EQ(indirect.hotPathProfiler(), nullptr);
+    telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
+    IndirectKktSolver indirect(p, a, sigma, rho, tightPcg());
     Vector x, z;
-    const KktSolveStats stats = indirect.solve(rhs_x, rhs_z, x, z);
-    EXPECT_EQ(stats.hotPath.totalCalls(), 0u);
-    EXPECT_GT(stats.pcgIterations, 0);
+    recorder.enable();
+    indirect.solve(rhs_x, rhs_z, x, z);
+    recorder.disable();
+    EXPECT_TRUE(recorder.drain().events.empty());
 }
+#endif
 
 TEST_F(KktSolverFixture, BaseClassDeclinesMatrixValueUpdates)
 {
