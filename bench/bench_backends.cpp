@@ -1,13 +1,13 @@
 /**
  * @file
  * First-order backend shoot-out over the benchmark suite: plain ADMM
- * (fixed penalty), Nesterov-accelerated ADMM, restarted PDHG, and the
- * Auto selector driver, all on identical settings.
+ * (fixed penalty), restarted PDHG, and Auto (the selector's
+ * setup-time pick of one of the two), all on identical settings.
  *
  * Rho adaptation is disabled for the sweep so the penalty/step-size
  * policy under test is each engine's own: PDHG adapts its primal
- * weight at restarts, accelerated ADMM restarts its momentum, and
- * plain ADMM is the fixed-penalty first-order baseline.
+ * weight at restarts, and plain ADMM is the fixed-penalty
+ * first-order baseline.
  *
  * The JSON output is a CI perf-smoke artifact. With --check the exit
  * code enforces the two backend-subsystem gates:
@@ -32,7 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "backends/backend_driver.hpp"
+#include "backends/backend_selector.hpp"
+#include "backends/qp_backend.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
 
@@ -94,9 +95,8 @@ struct BackendRun
     Index iterations = 0;
     double solveSeconds = 0.0;
     Count restarts = 0;
-    Count switches = 0;
     Real objective = 0.0;
-    std::string finishedOn;  ///< telemetry.backend (Auto may switch)
+    std::string finishedOn;  ///< telemetry.backend (Auto: the pick)
 };
 
 /** One problem's full sweep. */
@@ -135,7 +135,6 @@ runBackend(const QpProblem& qp, const OsqpSettings& base,
     run.iterations = result.info.iterations;
     run.solveSeconds = result.info.solveTime;
     run.restarts = result.info.telemetry.restarts;
-    run.switches = result.info.telemetry.backendSwitches;
     run.objective = result.info.objective;
     run.finishedOn = result.info.telemetry.backend;
     return run;
@@ -165,8 +164,7 @@ main(int argc, char** argv)
     base.adaptiveRho = false;  // see file comment
 
     const std::vector<BackendKind> kinds = {
-        BackendKind::Admm, BackendKind::AdmmAccelerated,
-        BackendKind::Pdhg, BackendKind::Auto};
+        BackendKind::Admm, BackendKind::Pdhg, BackendKind::Auto};
 
     std::vector<ProblemRow> rows;
     for (const ProblemSpec& spec :
@@ -181,8 +179,7 @@ main(int argc, char** argv)
         row.m = qp.numConstraints();
         row.nnz = qp.totalNnz();
         row.features = computeBackendFeatures(qp);
-        row.selectorChoice =
-            chooseBackend(row.features, base.firstOrder.selector);
+        row.selectorChoice = chooseBackend(row.features);
         for (BackendKind kind : kinds)
             row.runs.push_back(runBackend(qp, base, kind));
         rows.push_back(std::move(row));
@@ -251,7 +248,6 @@ main(int argc, char** argv)
                     << ", \"solve_seconds\": "
                     << formatFixed(run.solveSeconds, 6)
                     << ", \"restarts\": " << run.restarts
-                    << ", \"backend_switches\": " << run.switches
                     << ", \"finished_on\": \""
                     << bench::jsonEscape(run.finishedOn)
                     << "\", \"objective\": "
@@ -276,12 +272,10 @@ main(int argc, char** argv)
                   << "max_iter=" << options.maxIter << ", time_limit="
                   << formatFixed(options.timeLimit, 1) << "s)\n";
         TextTable table({"problem", "n+m", "eq", "m/n", "selector",
-                         "admm_it", "accel_it", "pdhg_it", "auto_it",
-                         "auto_on", "admm/pdhg"});
+                         "admm_it", "pdhg_it", "auto_it", "auto_on",
+                         "admm/pdhg"});
         for (const ProblemRow& row : rows) {
             const BackendRun* admm = row.find(BackendKind::Admm);
-            const BackendRun* accel =
-                row.find(BackendKind::AdmmAccelerated);
             const BackendRun* pdhg = row.find(BackendKind::Pdhg);
             const BackendRun* auto_run = row.find(BackendKind::Auto);
             const auto iters = [](const BackendRun* run) {
@@ -296,7 +290,7 @@ main(int argc, char** argv)
                  formatFixed(row.features.equalityFraction, 2),
                  formatFixed(row.features.tallRatio, 2),
                  backendKindName(row.selectorChoice), iters(admm),
-                 iters(accel), iters(pdhg), iters(auto_run),
+                 iters(pdhg), iters(auto_run),
                  auto_run != nullptr ? auto_run->finishedOn : "-",
                  formatFixed(iterationRatio(admm, pdhg), 2)});
         }

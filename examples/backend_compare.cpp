@@ -9,15 +9,13 @@
  * vector it extracted and the engine it picked.
  *
  * The solves run with adaptiveRho off so every engine brings its own
- * step-size policy: plain ADMM is the fixed-penalty baseline, the
- * accelerated variant adds Nesterov momentum with restart, PDHG
- * adapts its primal weight at restarts, and Auto starts from the
- * selector's pick with a mid-solve switch armed.
+ * step-size policy: plain ADMM is the fixed-penalty baseline, PDHG
+ * adapts its primal weight at restarts, and Auto runs the selector's
+ * pick, chosen once at setup.
  */
 
 #include <cstdio>
 
-#include "backends/backend_driver.hpp"
 #include "backends/backend_selector.hpp"
 #include "rsqp_api.hpp"
 
@@ -33,38 +31,32 @@ main()
 
     // What the selector sees, and what it would pick.
     const BackendFeatures features = computeBackendFeatures(qp);
-    const SelectorConfig selector_defaults;
-    std::printf("features: equality=%.2f loose=%.2f tall=%.2f\n",
-                features.equalityFraction, features.looseFraction,
-                features.tallRatio);
+    std::printf("features: equality=%.2f tall=%.2f\n",
+                features.equalityFraction, features.tallRatio);
     std::printf("selector pick: %s\n\n",
-                backendKindName(chooseBackend(features,
-                                              selector_defaults)));
+                backendKindName(chooseBackend(features)));
 
     OsqpSettings settings;
     settings.adaptiveRho = false;  // each engine's own step policy
     settings.maxIter = 20000;
 
-    std::printf("%-12s %-12s %-10s %8s %8s %8s %10s %12s\n",
-                "backend", "finished_on", "status", "iters",
-                "restarts", "switches", "ms", "objective");
+    std::printf("%-12s %-12s %-10s %8s %8s %10s %12s\n", "backend",
+                "finished_on", "status", "iters", "restarts", "ms",
+                "objective");
     for (BackendKind kind :
-         {BackendKind::Admm, BackendKind::AdmmAccelerated,
-          BackendKind::Pdhg, BackendKind::Auto}) {
+         {BackendKind::Admm, BackendKind::Pdhg, BackendKind::Auto}) {
         OsqpSettings run_settings = settings;
         run_settings.firstOrder.method = kind;
         std::unique_ptr<QpBackend> backend =
             makeBackend(qp, std::move(run_settings));
         const OsqpResult result = backend->solve();
-        std::printf("%-12s %-12s %-10s %8d %8lld %8lld %10.2f %12.6f\n",
+        std::printf("%-12s %-12s %-10s %8d %8lld %10.2f %12.6f\n",
                     backendKindName(kind),
                     result.info.telemetry.backend.c_str(),
                     statusToString(result.info.status),
                     result.info.iterations,
                     static_cast<long long>(
                         result.info.telemetry.restarts),
-                    static_cast<long long>(
-                        result.info.telemetry.backendSwitches),
                     result.info.solveTime * 1e3,
                     result.info.objective);
     }

@@ -9,8 +9,6 @@ computeBackendFeatures(const QpProblem& problem)
     BackendFeatures f;
     f.n = problem.numVariables();
     f.m = problem.numConstraints();
-    f.nnz = problem.totalNnz();
-    f.hasHessian = problem.pUpper.nnz() > 0;
     f.tallRatio = f.n > 0
         ? static_cast<Real>(f.m) / static_cast<Real>(f.n)
         : 0.0;
@@ -18,47 +16,30 @@ computeBackendFeatures(const QpProblem& problem)
     if (f.m == 0)
         return f;
 
-    // Per-row A population (for the box-row feature) without building
-    // a CSR mirror: count column entries per row.
-    std::vector<Index> row_nnz(static_cast<std::size_t>(f.m), 0);
-    const std::vector<Index>& row_idx = problem.a.rowIdx();
-    for (const Index r : row_idx)
-        if (r >= 0 && r < f.m)
-            ++row_nnz[static_cast<std::size_t>(r)];
-
+    // A loose row (both bounds at the kInf sentinel) has u - l = 2e30
+    // and never counts as an equality.
     Index equalities = 0;
-    Index loose = 0;
-    Index box = 0;
     for (Index i = 0; i < f.m; ++i) {
         const auto s = static_cast<std::size_t>(i);
-        const Real lo = problem.l[s];
-        const Real hi = problem.u[s];
-        if (lo <= -kInf && hi >= kInf)
-            ++loose;
-        else if (hi - lo < 1e-12)
+        if (problem.u[s] - problem.l[s] < 1e-12)
             ++equalities;
-        if (row_nnz[s] == 1)
-            ++box;
     }
-    const Real m_real = static_cast<Real>(f.m);
-    f.equalityFraction = static_cast<Real>(equalities) / m_real;
-    f.looseFraction = static_cast<Real>(loose) / m_real;
-    f.boxFraction = static_cast<Real>(box) / m_real;
+    f.equalityFraction =
+        static_cast<Real>(equalities) / static_cast<Real>(f.m);
     return f;
 }
 
 BackendKind
-chooseBackend(const BackendFeatures& features,
-              const SelectorConfig& config)
+chooseBackend(const BackendFeatures& features)
 {
     // Small problems: setup costs dwarf any iteration-count gap, and
     // the direct KKT factor is unbeatable. Never leave ADMM.
-    if (features.n + features.m < config.smallProblemThreshold)
+    if (features.n + features.m < kSelectorSmallProblem)
         return BackendKind::Admm;
 
     // Equality-dominated: the per-constraint stiff-rho trick is the
     // decisive advantage, PDHG has no equivalent.
-    if (features.equalityFraction >= config.equalityFractionAdmm)
+    if (features.equalityFraction >= kSelectorEqualityAdmm)
         return BackendKind::Admm;
 
     // Tall problems with a *mixed* constraint set: restarted PDHG's
@@ -66,17 +47,17 @@ chooseBackend(const BackendFeatures& features,
     // stiff equality rows and the loose inequality rows there; PDHG's
     // adaptive primal weight sidesteps the compromise. All-inequality
     // tall problems (svm) stay ADMM — one rho fits every row.
-    if (features.tallRatio >= config.tallRatioPdhg &&
-        features.equalityFraction >= config.equalityFractionPdhgMin)
+    if (features.tallRatio >= kSelectorTallRatioPdhg &&
+        features.equalityFraction >= kSelectorEqualityPdhgMin)
         return BackendKind::Pdhg;
 
     return BackendKind::Admm;
 }
 
 BackendKind
-chooseBackend(const QpProblem& problem, const SelectorConfig& config)
+chooseBackend(const QpProblem& problem)
 {
-    return chooseBackend(computeBackendFeatures(problem), config);
+    return chooseBackend(computeBackendFeatures(problem));
 }
 
 } // namespace rsqp

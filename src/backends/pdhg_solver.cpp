@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "backends/backend_metrics.hpp"
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
@@ -13,6 +12,7 @@
 #include "linalg/vector_ops.hpp"
 #include "osqp/residuals.hpp"
 #include "osqp/validate.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace rsqp
@@ -20,46 +20,6 @@ namespace rsqp
 
 namespace
 {
-
-/**
- * Additional settings checks specific to this engine (the shared
- * validateSettings already covers alpha/rho/tolerance ranges).
- */
-void
-validatePdhgKnobs(const PdhgConfig& pdhg, ValidationReport& report)
-{
-    const auto add = [&report](std::string message) {
-        ValidationIssue issue;
-        issue.code = ValidationCode::InvalidSetting;
-        issue.message = std::move(message);
-        report.issues.push_back(std::move(issue));
-    };
-    if (pdhg.restartInterval < 1)
-        add("pdhg.restartInterval must be >= 1, got " +
-            std::to_string(pdhg.restartInterval));
-    if (!(pdhg.restartBeta > 0.0 && pdhg.restartBeta < 1.0))
-        add("pdhg.restartBeta must be in (0, 1), got " +
-            std::to_string(pdhg.restartBeta));
-    if (pdhg.primalWeight < 0.0)
-        add("pdhg.primalWeight must be >= 0 (0 = automatic), got " +
-            std::to_string(pdhg.primalWeight));
-    if (!(pdhg.stepBalanceSmoothing >= 0.0 &&
-          pdhg.stepBalanceSmoothing <= 1.0))
-        add("pdhg.stepBalanceSmoothing must be in [0, 1], got " +
-            std::to_string(pdhg.stepBalanceSmoothing));
-    if (!(pdhg.primalWeightMax > 1.0))
-        add("pdhg.primalWeightMax must be > 1, got " +
-            std::to_string(pdhg.primalWeightMax));
-    if (pdhg.warmupChecks < 0)
-        add("pdhg.warmupChecks must be >= 0, got " +
-            std::to_string(pdhg.warmupChecks));
-    if (pdhg.powerIterations < 1)
-        add("pdhg.powerIterations must be >= 1, got " +
-            std::to_string(pdhg.powerIterations));
-    if (!(pdhg.stepSafety >= 1.0))
-        add("pdhg.stepSafety must be >= 1, got " +
-            std::to_string(pdhg.stepSafety));
-}
 
 /** Deterministic pseudo-random unit vector for power iteration. */
 void
@@ -87,7 +47,6 @@ PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
     Timer setup_timer;
 
     validation_ = validateSettings(settings_);
-    validatePdhgKnobs(settings_.firstOrder.pdhg, validation_);
     ValidationReport problem_report = validateProblem(original_);
     validation_.issues.insert(validation_.issues.end(),
                               problem_report.issues.begin(),
@@ -788,7 +747,22 @@ PdhgSolver::solve()
         ? faultInjector_->faultsInjected() - faults_before
         : 0;
     tele.solveSeconds = info.solveTime;
-    recordBackendSolve(name(), info);
+    {
+        using telemetry::MetricsRegistry;
+        MetricsRegistry& registry = MetricsRegistry::global();
+        static telemetry::Counter& solves = registry.counter(
+            "rsqp_backend_solves_total{backend=\"pdhg\"}",
+            "Completed solves per first-order backend");
+        static telemetry::Counter& iterations = registry.counter(
+            "rsqp_backend_iterations_total{backend=\"pdhg\"}",
+            "First-order iterations per backend");
+        static telemetry::Counter& restarts_total = registry.counter(
+            "rsqp_backend_restarts_total{backend=\"pdhg\"}",
+            "Restarts per first-order backend");
+        solves.increment();
+        iterations.add(static_cast<std::uint64_t>(info.iterations));
+        restarts_total.add(static_cast<std::uint64_t>(restarts));
+    }
 
     lastInfo_ = info;
     return result;

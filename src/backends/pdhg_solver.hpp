@@ -67,10 +67,6 @@ class PdhgSolver final : public QpBackend
     {
         settings_.timeLimit = seconds;
     }
-    void setIterationBudget(Index max_iter) override
-    {
-        settings_.maxIter = max_iter;
-    }
     const ValidationReport& validation() const override
     {
         return validation_;

@@ -2,18 +2,18 @@
  * @file
  * The pluggable first-order backend interface.
  *
- * A QpBackend is "one QP structure, set up once, solved many times" —
- * exactly the OsqpSolver contract the service layer already programs
- * against — with the engine behind it swappable: the classic ADMM
- * loop, its Nesterov-accelerated variant, the restarted PDHG engine,
- * or the Auto driver that picks (and can mid-solve switch) between
- * them. Every implementation returns the same OsqpResult with
- * SolveStatus / OsqpInfo / SolveTelemetry semantics, so callers,
- * telemetry pipelines and bench artifacts never care which method ran.
+ * A QpBackend is "one QP structure, set up once, solved many times",
+ * with the engine behind it swappable: OsqpSolver (the classic ADMM
+ * loop, which implements this interface itself) or the restarted
+ * PDHG engine. makeBackend resolves BackendKind::Auto once at setup
+ * with chooseBackend and returns the chosen engine. Every
+ * implementation returns the same OsqpResult with SolveStatus /
+ * OsqpInfo / SolveTelemetry semantics, so callers, telemetry
+ * pipelines and bench artifacts never care which method ran.
  *
- * Like OsqpSolver, construction never throws on caller input: a
- * malformed problem or settings leaves the backend inert and every
- * solve() returns SolveStatus::InvalidProblem with the report attached.
+ * Construction never throws on caller input: a malformed problem or
+ * settings leaves the backend inert and every solve() returns
+ * SolveStatus::InvalidProblem with the report attached.
  */
 
 #ifndef RSQP_BACKENDS_QP_BACKEND_HPP
@@ -62,32 +62,23 @@ class QpBackend
     /** Wall-clock budget of subsequent solve() calls (0 = no limit). */
     virtual void setTimeLimit(Real seconds) = 0;
 
-    /**
-     * Iteration budget of subsequent solve() calls. The Auto driver
-     * uses this to run an engine in slices, re-evaluating progress
-     * (and possibly switching engines) between them.
-     */
-    virtual void setIterationBudget(Index max_iter) = 0;
-
     /** Setup diagnostics (ok() unless the backend is inert). */
     virtual const ValidationReport& validation() const = 0;
 
-    /** Which engine this is (Auto for the driver). */
+    /** Which engine this is (Admm or Pdhg, never Auto). */
     virtual BackendKind kind() const = 0;
 
     /** Printable engine name. */
-    virtual const char* name() const { return backendKindName(kind()); }
+    const char* name() const { return backendKindName(kind()); }
 
     virtual Index numVariables() const = 0;
     virtual Index numConstraints() const = 0;
 };
 
 /**
- * Build the backend selected by settings.firstOrder.method:
- * Admm / AdmmAccelerated wrap the OsqpSolver loop (the default Admm
- * configuration is bit-for-bit the pre-subsystem solver), Pdhg builds
- * the restarted primal-dual engine, Auto builds the selector-driven
- * BackendDriver.
+ * Build the engine selected by settings.firstOrder.method: Admm
+ * builds an OsqpSolver, Pdhg the restarted primal-dual engine, and
+ * Auto whichever of the two chooseBackend picks for this problem.
  */
 std::unique_ptr<QpBackend> makeBackend(QpProblem problem,
                                        OsqpSettings settings);

@@ -97,10 +97,9 @@ struct OsqpSettings
     FaultInjectionConfig faultInjection;
 
     /**
-     * First-order backend selection (makeBackend factory) plus the
-     * accelerated-ADMM and PDHG engine knobs. The default
-     * (BackendKind::Admm, acceleration off) is bit-for-bit the
-     * pre-backend-subsystem ADMM loop.
+     * First-order engine selection (makeBackend factory) plus the
+     * PDHG engine knobs. The default is BackendKind::Admm, this
+     * solver itself.
      */
     FirstOrderSettings firstOrder;
 };

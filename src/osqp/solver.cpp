@@ -375,34 +375,6 @@ OsqpSolver::solve()
 
     const Real alpha = settings_.alpha;
 
-    // Nesterov-accelerated mode (Goldstein et al., "Fast ADMM"): the
-    // KKT step and projection read extrapolated hat iterates; momentum
-    // restarts whenever the combined momentum residual c_k fails to
-    // decay. Off by default — the plain path below binds the hats to
-    // the accepted iterates themselves and runs the exact legacy
-    // arithmetic, bit for bit.
-    const bool accel_on = settings_.firstOrder.accel.enabled ||
-        settings_.firstOrder.method == BackendKind::AdmmAccelerated;
-    Vector z_hat, y_hat, z_prev_accept;
-    Real accel_theta = 1.0;
-    Real accel_c_prev = kInf;
-    Count accel_restarts = 0;
-    if (accel_on) {
-        z_hat = z_;
-        y_hat = y_;
-        z_prev_accept = z_;
-    }
-    Vector& z_in = accel_on ? z_hat : z_;
-    Vector& y_in = accel_on ? y_hat : y_;
-    const auto reset_momentum = [&]() {
-        if (!accel_on)
-            return;
-        accel_theta = 1.0;
-        accel_c_prev = kInf;
-        z_hat = z_;
-        y_hat = y_;
-    };
-
     // Roll the iterates back to the last-good checkpoint (or a cold
     // start if none was taken yet).
     const auto roll_back = [&]() {
@@ -423,7 +395,6 @@ OsqpSolver::solve()
             return false;
         ++recovery_attempts;
         roll_back();
-        reset_momentum();  // hats must track the restored iterates
         sigmaEff_ *= ft.sigmaBoost;
         rebuildKktSolver();
         watchdog.reset();
@@ -455,8 +426,6 @@ OsqpSolver::solve()
 
         x_prev = x_;
         y_prev = y_;
-        if (accel_on)
-            z_prev_accept = z_;
 
         // Step 3: solve the (reduced) KKT system.
         parallelForRange(n_, [&](Index jb, Index je) {
@@ -468,9 +437,9 @@ OsqpSolver::solve()
         parallelForRange(m_, [&](Index ib, Index ie) {
             for (Index i = ib; i < ie; ++i)
                 rhs_z[static_cast<std::size_t>(i)] =
-                    z_in[static_cast<std::size_t>(i)] -
+                    z_[static_cast<std::size_t>(i)] -
                     rhoInvVec_[static_cast<std::size_t>(i)] *
-                        y_in[static_cast<std::size_t>(i)];
+                        y_[static_cast<std::size_t>(i)];
         });
         kkt_timer.start();
         const KktSolveStats kstats =
@@ -495,55 +464,14 @@ OsqpSolver::solve()
             for (Index i = ib; i < ie; ++i) {
                 const auto s = static_cast<std::size_t>(i);
                 const Real z_relaxed =
-                    alpha * z_tilde[s] + (1.0 - alpha) * z_in[s];
-                proj_arg[s] = z_relaxed + rhoInvVec_[s] * y_in[s];
+                    alpha * z_tilde[s] + (1.0 - alpha) * z_[s];
+                proj_arg[s] = z_relaxed + rhoInvVec_[s] * y_[s];
                 const Real z_next =
                     clampReal(proj_arg[s], scaled_.l[s], scaled_.u[s]);
-                y_[s] = y_in[s] + rhoVec_[s] * (z_relaxed - z_next);
+                y_[s] += rhoVec_[s] * (z_relaxed - z_next);
                 z_[s] = z_next;
             }
         });
-
-        if (accel_on) {
-            // Momentum residual c_k: how far the accepted (z, y) moved
-            // off the extrapolated point, in the rho metric. Serial
-            // accumulation — this branch has no bitwise-vs-legacy
-            // contract to keep, only run-to-run determinism.
-            Real c_k = 0.0;
-            for (Index i = 0; i < m_; ++i) {
-                const auto s = static_cast<std::size_t>(i);
-                const Real dz = z_[s] - z_hat[s];
-                const Real dy = y_[s] - y_hat[s];
-                c_k += rhoVec_[s] * dz * dz + rhoInvVec_[s] * dy * dy;
-            }
-            if (c_k <
-                settings_.firstOrder.accel.restartEta * accel_c_prev) {
-                const Real theta_next = 0.5 *
-                    (1.0 +
-                     std::sqrt(1.0 + 4.0 * accel_theta * accel_theta));
-                const Real beta = (accel_theta - 1.0) / theta_next;
-                parallelForRange(m_, [&](Index ib, Index ie) {
-                    for (Index i = ib; i < ie; ++i) {
-                        const auto s = static_cast<std::size_t>(i);
-                        z_hat[s] = z_[s] +
-                            beta * (z_[s] - z_prev_accept[s]);
-                        y_hat[s] =
-                            y_[s] + beta * (y_[s] - y_prev[s]);
-                    }
-                });
-                accel_theta = theta_next;
-                accel_c_prev = c_k;
-            } else {
-                // Weak convexity can make the momentum sequence cycle;
-                // the restart drops it and continues from the accepted
-                // point (theta back to 1, hats snapped to the iterate).
-                accel_theta = 1.0;
-                accel_c_prev = c_k;
-                z_hat = z_;
-                y_hat = y_;
-                ++accel_restarts;
-            }
-        }
 
         info.iterations = iter;
 
@@ -641,12 +569,8 @@ OsqpSolver::solve()
             }
         }
 
-        if (adapt_now && adaptRho(prim_res, dual_res, x_u, y_u, z_u)) {
+        if (adapt_now && adaptRho(prim_res, dual_res, x_u, y_u, z_u))
             ++info.rhoUpdates;
-            // The momentum metric is rho-weighted; a new rho vector
-            // invalidates both c_k history and the extrapolation.
-            reset_momentum();
-        }
     }
 
     // Exit paths that break out between termination checks (time
@@ -683,10 +607,7 @@ OsqpSolver::solve()
     // registry adds happen once per solve (never per iteration), so
     // their cost is invisible next to even one KKT step.
     SolveTelemetry& tele = info.telemetry;
-    tele.backend = backendKindName(accel_on
-                                       ? BackendKind::AdmmAccelerated
-                                       : BackendKind::Admm);
-    tele.restarts = accel_restarts;
+    tele.backend = name();
     tele.iterations = info.iterations;
     tele.pcgIterationsTotal = info.pcgIterationsTotal;
     tele.pcgItersPerSolve = tele.kktSolves > 0
@@ -718,8 +639,17 @@ OsqpSolver::solve()
             "Watchdog/fallback recovery actions");
         static telemetry::Histogram& solve_ns = registry.histogram(
             "rsqp_admm_solve_ns", "Wall-clock nanoseconds per solve");
+        static telemetry::Counter& backend_solves = registry.counter(
+            "rsqp_backend_solves_total{backend=\"admm\"}",
+            "Completed solves per first-order backend");
+        static telemetry::Counter& backend_iterations = registry.counter(
+            "rsqp_backend_iterations_total{backend=\"admm\"}",
+            "First-order iterations per backend");
         solves.increment();
         iterations.add(static_cast<std::uint64_t>(info.iterations));
+        backend_solves.increment();
+        backend_iterations.add(
+            static_cast<std::uint64_t>(info.iterations));
         pcg_iterations.add(
             static_cast<std::uint64_t>(info.pcgIterationsTotal));
         rho_updates.add(static_cast<std::uint64_t>(info.rhoUpdates));

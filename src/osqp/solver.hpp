@@ -10,6 +10,9 @@
  * The parametric-update entry points (updateLinearCost, updateBounds,
  * updateMatrixValues) keep the sparsity structure fixed — the reuse
  * model that amortizes RSQP's per-structure hardware generation.
+ *
+ * OsqpSolver is the Admm engine of the first-order backend interface
+ * (QpBackend): makeBackend returns it for BackendKind::Admm.
  */
 
 #ifndef RSQP_OSQP_SOLVER_HPP
@@ -17,6 +20,7 @@
 
 #include <memory>
 
+#include "backends/qp_backend.hpp"
 #include "common/fault_injection.hpp"
 #include "osqp/problem.hpp"
 #include "osqp/recovery.hpp"
@@ -29,7 +33,7 @@ namespace rsqp
 {
 
 /** The OSQP solver object (setup once, solve many). */
-class OsqpSolver
+class OsqpSolver final : public QpBackend
 {
   public:
     /**
@@ -43,12 +47,12 @@ class OsqpSolver
      */
     OsqpSolver(QpProblem problem, OsqpSettings settings);
 
-    ~OsqpSolver();
+    ~OsqpSolver() override;
     OsqpSolver(const OsqpSolver&) = delete;
     OsqpSolver& operator=(const OsqpSolver&) = delete;
 
     /** Run Algorithm 1 from the current warm-start state. */
-    OsqpResult solve();
+    OsqpResult solve() override;
 
     /**
      * Warm start the next solve() from a primal/dual guess (unscaled).
@@ -57,13 +61,13 @@ class OsqpSolver
      * from the current iterates), in the same spirit as the
      * non-throwing InvalidProblem path.
      */
-    bool warmStart(const Vector& x, const Vector& y);
+    bool warmStart(const Vector& x, const Vector& y) override;
 
     /** Replace q (same length); rescales internally. */
-    void updateLinearCost(const Vector& q);
+    void updateLinearCost(const Vector& q) override;
 
     /** Replace l and u (same length); rescales internally. */
-    void updateBounds(const Vector& l, const Vector& u);
+    void updateBounds(const Vector& l, const Vector& u) override;
 
     /**
      * Manually set the scalar rho (osqp_update_rho): rebuilds the
@@ -80,16 +84,9 @@ class OsqpSolver
      * per-request deadline — the remaining budget after queue wait —
      * without rebuilding the solver.
      */
-    void setTimeLimit(Real seconds) { settings_.timeLimit = seconds; }
-
-    /**
-     * Replace the iteration budget of subsequent solve() calls. The
-     * Auto backend driver uses this (like setTimeLimit) to run the
-     * loop in slices without rebuilding the solver.
-     */
-    void setIterationBudget(Index max_iter)
+    void setTimeLimit(Real seconds) override
     {
-        settings_.maxIter = max_iter;
+        settings_.timeLimit = seconds;
     }
 
     /**
@@ -98,12 +95,17 @@ class OsqpSolver
      * in the *original* (unscaled) CSC order of the setup matrices.
      */
     void updateMatrixValues(const std::vector<Real>& p_values,
-                            const std::vector<Real>& a_values);
+                            const std::vector<Real>& a_values) override;
 
     const OsqpSettings& settings() const { return settings_; }
 
     /** Problem diagnostics from setup (ok() unless InvalidProblem). */
-    const ValidationReport& validation() const { return validation_; }
+    const ValidationReport& validation() const override
+    {
+        return validation_;
+    }
+
+    BackendKind kind() const override { return BackendKind::Admm; }
 
     /** The scaled problem currently inside the solver (for the arch). */
     const QpProblem& scaledProblem() const { return scaled_; }
@@ -111,8 +113,8 @@ class OsqpSolver
     /** Per-constraint rho vector currently in use (scaled space). */
     const Vector& rhoVec() const { return rhoVec_; }
 
-    Index numVariables() const { return n_; }
-    Index numConstraints() const { return m_; }
+    Index numVariables() const override { return n_; }
+    Index numConstraints() const override { return m_; }
 
   private:
     void buildRhoVec(Real rho_bar);

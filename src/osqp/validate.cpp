@@ -57,6 +57,45 @@ scanNonFinite(ValidationReport& report, const Vector& values,
     }
 }
 
+/**
+ * Range checks of the PDHG engine knobs. They run for every engine,
+ * so a bad knob gives the same InvalidProblem verdict whichever
+ * engine BackendKind::Auto picks.
+ */
+void
+validatePdhgKnobs(const PdhgConfig& pdhg, ValidationReport& report)
+{
+    const auto add = [&report](std::string message) {
+        addIssue(report, ValidationCode::InvalidSetting,
+                 std::move(message));
+    };
+    if (pdhg.restartInterval < 1)
+        add("pdhg.restartInterval must be >= 1, got " +
+            std::to_string(pdhg.restartInterval));
+    if (!(pdhg.restartBeta > 0.0 && pdhg.restartBeta < 1.0))
+        add("pdhg.restartBeta must be in (0, 1), got " +
+            std::to_string(pdhg.restartBeta));
+    if (pdhg.primalWeight < 0.0)
+        add("pdhg.primalWeight must be >= 0 (0 = automatic), got " +
+            std::to_string(pdhg.primalWeight));
+    if (!(pdhg.stepBalanceSmoothing >= 0.0 &&
+          pdhg.stepBalanceSmoothing <= 1.0))
+        add("pdhg.stepBalanceSmoothing must be in [0, 1], got " +
+            std::to_string(pdhg.stepBalanceSmoothing));
+    if (!(pdhg.primalWeightMax > 1.0))
+        add("pdhg.primalWeightMax must be > 1, got " +
+            std::to_string(pdhg.primalWeightMax));
+    if (pdhg.warmupChecks < 0)
+        add("pdhg.warmupChecks must be >= 0, got " +
+            std::to_string(pdhg.warmupChecks));
+    if (pdhg.powerIterations < 1)
+        add("pdhg.powerIterations must be >= 1, got " +
+            std::to_string(pdhg.powerIterations));
+    if (!(pdhg.stepSafety >= 1.0))
+        add("pdhg.stepSafety must be >= 1, got " +
+            std::to_string(pdhg.stepSafety));
+}
+
 } // namespace
 
 const char*
@@ -253,13 +292,6 @@ validateSettings(const OsqpSettings& settings)
             << settings.adaptiveRhoTolerance;
         addIssue(report, ValidationCode::InvalidSetting, msg.str());
     }
-    if (!(settings.firstOrder.accel.restartEta > 0.0 &&
-          settings.firstOrder.accel.restartEta <= 1.0)) {
-        std::ostringstream msg;
-        msg << "firstOrder.accel.restartEta must be in (0, 1], got "
-            << settings.firstOrder.accel.restartEta;
-        addIssue(report, ValidationCode::InvalidSetting, msg.str());
-    }
     if (!(settings.rho > 0.0)) {
         std::ostringstream msg;
         msg << "rho must be positive, got " << settings.rho;
@@ -281,6 +313,7 @@ validateSettings(const OsqpSettings& settings)
             << settings.checkInterval;
         addIssue(report, ValidationCode::InvalidSetting, msg.str());
     }
+    validatePdhgKnobs(settings.firstOrder.pdhg, report);
     return report;
 }
 

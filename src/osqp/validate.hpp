@@ -77,7 +77,9 @@ struct OsqpSettings;
 
 /**
  * Validate algorithm settings (alpha in (0, 2), positive rho/sigma,
- * positive iteration caps). Like validateProblem this never throws:
+ * positive iteration caps, PDHG knob ranges — checked for every
+ * engine, so every engine gives the same verdict). Like
+ * validateProblem this never throws:
  * a failing report turns the solve into a typed InvalidProblem result
  * — the successor of the constructor's retired RSQP_FATAL path.
  */

@@ -49,8 +49,8 @@ SolverSession::rebuild(const QpProblem& problem, bool cacheable,
 {
     if (config_.engine == SessionEngine::Host) {
         // Route through the backend factory: settings.firstOrder picks
-        // ADMM (default, bit-for-bit the old path), accelerated ADMM,
-        // PDHG, or the Auto selector driver.
+        // ADMM (default), PDHG, or Auto, which the factory resolves
+        // to one of the two here, once per structure.
         host_ = makeBackend(problem, config_.osqp);
         haveSolver_ = true;
         return;

@@ -37,9 +37,10 @@ namespace rsqp
 enum class SessionEngine
 {
     Device,  ///< RsqpSolver (simulated accelerator, customization cache)
-    Host,    ///< first-order CPU backend chosen by
-             ///< OsqpSettings::firstOrder (ADMM by default; parametric
-             ///< reuse + warm start only)
+    Host,    ///< first-order CPU engine from makeBackend:
+             ///< OsqpSettings::firstOrder.method picks ADMM (default),
+             ///< PDHG, or Auto's setup-time pick (parametric reuse +
+             ///< warm start only)
 };
 
 /** Per-session configuration, fixed at session creation. */

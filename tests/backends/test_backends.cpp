@@ -1,14 +1,14 @@
 /**
  * @file
  * Backend subsystem tests: cross-backend solution equivalence, the
- * ADMM wrapper's bitwise fidelity to the raw solver, PDHG determinism
- * across thread counts, mid-solve backend-switch reproducibility,
- * settings validation, and per-backend telemetry labels/counters.
+ * factory's bitwise fidelity to the raw solver, Auto as a setup-time
+ * pick of one engine, PDHG determinism across thread counts, settings
+ * validation, and per-backend telemetry labels/counters.
  */
 
 #include <gtest/gtest.h>
 
-#include "backends/backend_driver.hpp"
+#include "backends/backend_selector.hpp"
 #include "backends/pdhg_solver.hpp"
 #include "common/thread_pool.hpp"
 #include "osqp/solver.hpp"
@@ -40,20 +40,45 @@ solveWith(const QpProblem& problem, OsqpSettings settings,
     return backend->solve();
 }
 
+/** Bitwise equality of two results: status, iterations, x and y. */
+void
+expectBitwiseEqual(const OsqpResult& got, const OsqpResult& expect)
+{
+    ASSERT_EQ(got.info.status, expect.info.status);
+    EXPECT_EQ(got.info.iterations, expect.info.iterations);
+    EXPECT_EQ(got.info.objective, expect.info.objective);
+    ASSERT_EQ(got.x.size(), expect.x.size());
+    ASSERT_EQ(got.y.size(), expect.y.size());
+    for (std::size_t i = 0; i < expect.x.size(); ++i)
+        EXPECT_EQ(got.x[i], expect.x[i]) << "x[" << i << "]";
+    for (std::size_t i = 0; i < expect.y.size(); ++i)
+        EXPECT_EQ(got.y[i], expect.y[i]) << "y[" << i << "]";
+}
+
 TEST(Backends, FactoryReturnsRequestedKind)
 {
-    const QpProblem qp = generateProblem(Domain::Control, 8, 3);
-    for (BackendKind kind :
-         {BackendKind::Admm, BackendKind::AdmmAccelerated,
-          BackendKind::Pdhg, BackendKind::Auto}) {
-        OsqpSettings settings = baseSettings();
-        settings.firstOrder.method = kind;
-        std::unique_ptr<QpBackend> backend =
-            makeBackend(qp, std::move(settings));
-        ASSERT_NE(backend, nullptr);
-        EXPECT_EQ(backend->kind(), kind);
-        EXPECT_EQ(backend->numVariables(), qp.numVariables());
-        EXPECT_EQ(backend->numConstraints(), qp.numConstraints());
+    // Auto is resolved at setup: the factory hands back the engine the
+    // selector picks, at a size that picks ADMM and one that picks PDHG.
+    const struct
+    {
+        Index size;
+        BackendKind pick;
+    } cases[] = {{8, BackendKind::Admm}, {40, BackendKind::Pdhg}};
+    for (const auto& c : cases) {
+        const QpProblem qp = generateProblem(Domain::Control, c.size, 3);
+        for (BackendKind kind :
+             {BackendKind::Admm, BackendKind::Pdhg, BackendKind::Auto}) {
+            OsqpSettings settings = baseSettings();
+            settings.firstOrder.method = kind;
+            std::unique_ptr<QpBackend> backend =
+                makeBackend(qp, std::move(settings));
+            ASSERT_NE(backend, nullptr);
+            EXPECT_EQ(backend->kind(),
+                      kind == BackendKind::Auto ? c.pick : kind)
+                << "size " << c.size;
+            EXPECT_EQ(backend->numVariables(), qp.numVariables());
+            EXPECT_EQ(backend->numConstraints(), qp.numConstraints());
+        }
     }
 }
 
@@ -65,37 +90,7 @@ TEST(Backends, AdmmWrapperMatchesRawSolverBitwise)
     OsqpSolver raw(qp, settings);
     const OsqpResult expect = raw.solve();
     const OsqpResult got = solveWith(qp, settings, BackendKind::Admm);
-
-    ASSERT_EQ(got.info.status, expect.info.status);
-    EXPECT_EQ(got.info.iterations, expect.info.iterations);
-    EXPECT_EQ(got.info.objective, expect.info.objective);
-    ASSERT_EQ(got.x.size(), expect.x.size());
-    for (std::size_t i = 0; i < expect.x.size(); ++i)
-        EXPECT_EQ(got.x[i], expect.x[i]);
-    for (std::size_t i = 0; i < expect.y.size(); ++i)
-        EXPECT_EQ(got.y[i], expect.y[i]);
-}
-
-TEST(Backends, AcceleratedAdmmOffByDefaultAndBitwiseIdentical)
-{
-    // accel.enabled defaults to false, and an explicitly-disabled
-    // accelerated path must be arithmetically invisible: the hat
-    // iterates alias the accepted iterates.
-    const OsqpSettings settings;
-    EXPECT_FALSE(settings.firstOrder.accel.enabled);
-    EXPECT_EQ(settings.firstOrder.method, BackendKind::Admm);
-
-    const QpProblem qp = generateProblem(Domain::Huber, 40, 5);
-    OsqpSettings off = baseSettings();
-    off.firstOrder.accel.enabled = false;
-    OsqpSolver plain(qp, baseSettings());
-    OsqpSolver disabled(qp, off);
-    const OsqpResult a = plain.solve();
-    const OsqpResult b = disabled.solve();
-    ASSERT_EQ(a.info.status, b.info.status);
-    EXPECT_EQ(a.info.iterations, b.info.iterations);
-    for (std::size_t i = 0; i < a.x.size(); ++i)
-        EXPECT_EQ(a.x[i], b.x[i]);
+    expectBitwiseEqual(got, expect);
 }
 
 TEST(Backends, CrossBackendSolutionEquivalence)
@@ -120,24 +115,15 @@ TEST(Backends, CrossBackendSolutionEquivalence)
 
         const OsqpResult admm =
             solveWith(qp, settings, BackendKind::Admm);
-        const OsqpResult accel =
-            solveWith(qp, settings, BackendKind::AdmmAccelerated);
         const OsqpResult pdhg =
             solveWith(qp, settings, BackendKind::Pdhg);
 
         ASSERT_EQ(admm.info.status, SolveStatus::Solved)
             << toString(c.domain);
-        ASSERT_EQ(accel.info.status, SolveStatus::Solved)
-            << toString(c.domain);
         ASSERT_EQ(pdhg.info.status, SolveStatus::Solved)
             << toString(c.domain);
 
         const Real scale = 1.0 + std::abs(admm.info.objective);
-        EXPECT_LT(
-            std::abs(accel.info.objective - admm.info.objective) /
-                scale,
-            1e-4)
-            << toString(c.domain);
         EXPECT_LT(
             std::abs(pdhg.info.objective - admm.info.objective) /
                 scale,
@@ -206,63 +192,33 @@ TEST(Backends, PdhgRestartDeterminismEveryMode)
     }
 }
 
-TEST(Backends, MidSolveSwitchIsBitwiseReproducible)
-{
-    // Control at this size routes to PDHG; with restarts and the
-    // adaptive step balance disabled and the primal weight pinned to
-    // a bad value raw PDHG crawls (~9900 iterations standalone), so
-    // the driver's stall check fires and hands the solve to ADMM.
-    const QpProblem qp = generateProblem(Domain::Control, 10, 29);
-    OsqpSettings settings = baseSettings();
-    settings.firstOrder.method = BackendKind::Auto;
-    settings.firstOrder.pdhg.restart = PdhgRestart::None;
-    settings.firstOrder.pdhg.adaptiveStepBalance = false;
-    settings.firstOrder.pdhg.primalWeight = 1e3;
-    settings.firstOrder.selector.switchCheckIterations = 100;
-    settings.firstOrder.selector.minProgressFactor = 0.5;
-
-    const auto run_once = [&](Index threads) {
-        NumThreadsScope scope(threads);
-        OsqpSettings s = settings;
-        BackendDriver driver(qp, std::move(s));
-        EXPECT_EQ(driver.chosenKind(), BackendKind::Pdhg);
-        return driver.solve();
-    };
-
-    const OsqpResult first = run_once(1);
-    ASSERT_EQ(first.info.status, SolveStatus::Solved);
-    ASSERT_GE(first.info.telemetry.backendSwitches, 1);
-    EXPECT_EQ(first.info.telemetry.backend, "admm");
-
-    for (Index threads : {1, 4}) {
-        const OsqpResult again = run_once(threads);
-        ASSERT_EQ(again.info.status, first.info.status);
-        EXPECT_EQ(again.info.iterations, first.info.iterations);
-        EXPECT_EQ(again.info.telemetry.backendSwitches,
-                  first.info.telemetry.backendSwitches);
-        ASSERT_EQ(again.x.size(), first.x.size());
-        for (std::size_t i = 0; i < first.x.size(); ++i)
-            ASSERT_EQ(again.x[i], first.x[i])
-                << threads << " threads, x[" << i << "]";
-        for (std::size_t i = 0; i < first.y.size(); ++i)
-            ASSERT_EQ(again.y[i], first.y[i])
-                << threads << " threads, y[" << i << "]";
-    }
-}
-
 TEST(Backends, AutoMatchesSingleEngineWhenNoSwitchNeeded)
 {
-    // A well-behaved ADMM pick must sail through the sliced driver to
-    // the same solution the standalone engine reaches.
-    const QpProblem qp = generateProblem(Domain::Lasso, 40, 13);
-    OsqpSettings settings = baseSettings();
-
-    const OsqpResult admm = solveWith(qp, settings, BackendKind::Admm);
-    const OsqpResult auto_run =
-        solveWith(qp, settings, BackendKind::Auto);
-    ASSERT_EQ(auto_run.info.status, SolveStatus::Solved);
-    EXPECT_EQ(auto_run.info.telemetry.backendSwitches, 0);
-    EXPECT_EQ(auto_run.info.objective, admm.info.objective);
+    // Auto is the selector's engine, picked once at setup: its solve
+    // is bitwise the standalone engine's, for an ADMM pick (lasso)
+    // and for a PDHG pick (control at scale, 350 iterations here).
+    const struct
+    {
+        Domain domain;
+        Index size;
+        BackendKind pick;
+    } cases[] = {
+        {Domain::Lasso, 40, BackendKind::Admm},
+        {Domain::Control, 40, BackendKind::Pdhg},
+    };
+    for (const auto& c : cases) {
+        const QpProblem qp = generateProblem(c.domain, c.size, 13);
+        ASSERT_EQ(chooseBackend(qp), c.pick) << toString(c.domain);
+        const OsqpSettings settings = baseSettings();
+        const OsqpResult engine = solveWith(qp, settings, c.pick);
+        const OsqpResult auto_run =
+            solveWith(qp, settings, BackendKind::Auto);
+        ASSERT_EQ(auto_run.info.status, SolveStatus::Solved)
+            << toString(c.domain);
+        EXPECT_EQ(auto_run.info.telemetry.backend,
+                  backendKindName(c.pick));
+        expectBitwiseEqual(auto_run, engine);
+    }
 }
 
 TEST(Backends, TelemetryCarriesBackendLabelAndRestarts)
@@ -273,10 +229,6 @@ TEST(Backends, TelemetryCarriesBackendLabelAndRestarts)
     const OsqpResult admm = solveWith(qp, settings, BackendKind::Admm);
     EXPECT_EQ(admm.info.telemetry.backend, "admm");
     EXPECT_EQ(admm.info.telemetry.restarts, 0);
-
-    const OsqpResult accel =
-        solveWith(qp, settings, BackendKind::AdmmAccelerated);
-    EXPECT_EQ(accel.info.telemetry.backend, "admm-accel");
 
     const OsqpResult pdhg = solveWith(qp, settings, BackendKind::Pdhg);
     EXPECT_EQ(pdhg.info.telemetry.backend, "pdhg");
@@ -302,6 +254,11 @@ TEST(Backends, MetricsCountPerBackendSolves)
 
     EXPECT_EQ(solves("admm"), admm_before + 1);
     EXPECT_EQ(solves("pdhg"), pdhg_before + 1);
+
+    // OsqpSolver is the ADMM engine itself: a raw solve counts too.
+    OsqpSolver raw(qp, settings);
+    (void)raw.solve();
+    EXPECT_EQ(solves("admm"), admm_before + 2);
 }
 
 TEST(Backends, ParametricUpdatesMatchRebuild)
@@ -347,17 +304,6 @@ TEST(BackendValidation, AdaptiveRhoToleranceMustExceedOne)
     EXPECT_TRUE(validateSettings(settings).ok());
 }
 
-TEST(BackendValidation, AccelRestartEtaRange)
-{
-    OsqpSettings settings;
-    settings.firstOrder.accel.restartEta = 0.0;
-    EXPECT_FALSE(validateSettings(settings).ok());
-    settings.firstOrder.accel.restartEta = 1.5;
-    EXPECT_FALSE(validateSettings(settings).ok());
-    settings.firstOrder.accel.restartEta = 0.999;
-    EXPECT_TRUE(validateSettings(settings).ok());
-}
-
 TEST(BackendValidation, PdhgKnobsGateTheSolveWithoutThrowing)
 {
     const QpProblem qp = generateProblem(Domain::Control, 8, 3);
@@ -369,6 +315,43 @@ TEST(BackendValidation, PdhgKnobsGateTheSolveWithoutThrowing)
     const OsqpResult result = solver.solve();
     EXPECT_EQ(result.info.status, SolveStatus::InvalidProblem);
     EXPECT_FALSE(result.validation.ok());
+}
+
+TEST(BackendValidation, PdhgKnobVerdictIsTheSameForEveryEngine)
+{
+    // A bad PDHG knob is a settings error whichever engine runs: the
+    // explicit engines, Auto at a size that picks ADMM and at one that
+    // picks PDHG, and a raw OsqpSolver all refuse the solve.
+    const QpProblem small = generateProblem(Domain::Control, 4, 1);
+    const QpProblem large = generateProblem(Domain::Control, 40, 1);
+    ASSERT_EQ(chooseBackend(small), BackendKind::Admm);
+    ASSERT_EQ(chooseBackend(large), BackendKind::Pdhg);
+
+    OsqpSettings settings = baseSettings();
+    settings.firstOrder.pdhg.restartBeta = 1.5;  // must be in (0, 1)
+    EXPECT_FALSE(validateSettings(settings).ok());
+
+    const struct
+    {
+        const QpProblem* qp;
+        BackendKind kind;
+    } runs[] = {
+        {&small, BackendKind::Admm},
+        {&small, BackendKind::Pdhg},
+        {&small, BackendKind::Auto},
+        {&large, BackendKind::Auto},
+    };
+    for (const auto& run : runs) {
+        const OsqpResult result = solveWith(*run.qp, settings, run.kind);
+        EXPECT_EQ(result.info.status, SolveStatus::InvalidProblem)
+            << backendKindName(run.kind) << " n="
+            << run.qp->numVariables();
+        EXPECT_TRUE(result.validation.has(ValidationCode::InvalidSetting))
+            << backendKindName(run.kind);
+    }
+
+    OsqpSolver raw(small, settings);
+    EXPECT_EQ(raw.solve().info.status, SolveStatus::InvalidProblem);
 }
 
 TEST(BackendValidation, InvalidSolverSettingsStayNonThrowing)

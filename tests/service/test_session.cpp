@@ -6,10 +6,12 @@
  * bitwise identical to a cold-cache solve.
  */
 
+#include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "backends/backend_selector.hpp"
 #include "problems/suite.hpp"
 #include "service/session.hpp"
 
@@ -189,6 +191,75 @@ TEST(SolverSession, HostEngineSolvesAndTakesParametricPath)
     ASSERT_EQ(repeat.status, SolveStatus::Solved);
     EXPECT_TRUE(repeat.parametricReuse);
     EXPECT_TRUE(repeat.warmStarted);
+}
+
+/**
+ * Host session on `method` at control size `size`: a value-only
+ * q/bounds request takes the parametric route and lands bitwise on
+ * what a standalone makeBackend engine reaches with the same updates
+ * and warm start; telemetry names that engine.
+ */
+void
+expectHostParametricMatchesStandalone(BackendKind method, Index size)
+{
+    SessionConfig config;
+    config.engine = SessionEngine::Host;
+    config.osqp.firstOrder.method = method;
+    SolverSession session(config, nullptr);
+
+    const QpProblem qp = generateProblem(Domain::Control, size, 5);
+    QpProblem next = withScaledCost(qp, 1.1);
+    for (Vector* bound : {&next.l, &next.u})
+        for (Real& v : *bound)
+            if (std::abs(v) < kInf)
+                v *= 1.05;
+    const BackendKind engine_kind =
+        method == BackendKind::Auto ? chooseBackend(qp) : method;
+
+    std::unique_ptr<QpBackend> engine = makeBackend(qp, config.osqp);
+    ASSERT_EQ(engine->kind(), engine_kind);
+    const OsqpResult first = engine->solve();
+    engine->updateLinearCost(next.q);
+    engine->updateBounds(next.l, next.u);
+    ASSERT_TRUE(engine->warmStart(first.x, first.y));
+    const OsqpResult expect = engine->solve();
+    ASSERT_EQ(expect.info.status, SolveStatus::Solved);
+
+    ASSERT_EQ(session.solve(qp).status, first.info.status);
+    const SessionResult got = session.solve(next);
+    EXPECT_EQ(got.telemetry.route, SolveRoute::Parametric);
+    EXPECT_TRUE(got.warmStarted);
+    EXPECT_EQ(got.telemetry.backend, backendKindName(engine_kind));
+    ASSERT_EQ(got.status, expect.info.status);
+    EXPECT_EQ(got.iterations, expect.info.iterations);
+    ASSERT_EQ(got.x.size(), expect.x.size());
+    ASSERT_EQ(got.y.size(), expect.y.size());
+    for (std::size_t i = 0; i < expect.x.size(); ++i)
+        ASSERT_EQ(got.x[i], expect.x[i]) << "x[" << i << "]";
+    for (std::size_t i = 0; i < expect.y.size(); ++i)
+        ASSERT_EQ(got.y[i], expect.y[i]) << "y[" << i << "]";
+}
+
+TEST(SolverSession, HostPdhgParametricMatchesStandaloneEngine)
+{
+    for (Index size : {4, 40}) {
+        SCOPED_TRACE(size);
+        expectHostParametricMatchesStandalone(BackendKind::Pdhg, size);
+    }
+}
+
+TEST(SolverSession, HostAutoParametricMatchesSelectedEngine)
+{
+    // Control at size 4 is small enough that Auto picks ADMM; at 40
+    // it is tall with mixed constraints and Auto picks PDHG.
+    ASSERT_EQ(chooseBackend(generateProblem(Domain::Control, 4, 5)),
+              BackendKind::Admm);
+    ASSERT_EQ(chooseBackend(generateProblem(Domain::Control, 40, 5)),
+              BackendKind::Pdhg);
+    for (Index size : {4, 40}) {
+        SCOPED_TRACE(size);
+        expectHostParametricMatchesStandalone(BackendKind::Auto, size);
+    }
 }
 
 TEST(SolverSession, ResetForgetsStructureAndWarmState)

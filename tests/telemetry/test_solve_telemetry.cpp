@@ -76,7 +76,7 @@ TEST(SolveTelemetryRecord, JsonCarriesCoreFields)
     // (isa_level included, precision-mode keys excluded) has to edit
     // this list deliberately.
     EXPECT_EQ(jsonKeys(json),
-              "backend restarts backend_switches iterations kkt_solves "
+              "backend restarts iterations kkt_solves "
               "pcg_iterations_total pcg_iters_per_solve isa_level "
               "recovery_events faults_injected route queue_wait_seconds "
               "setup_seconds solve_seconds residual_tail iter prim_res "
