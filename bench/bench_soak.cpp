@@ -37,7 +37,7 @@
  *   --seed=N        trace and value-perturbation seed (default 0)
  *   --requests=N    total trace size (default 1000000, quick 8000)
  *   --rate=R        open-loop arrival rate in requests/s
- *                   (default 25000, quick 10000)
+ *                   (default 25000, quick 2000)
  *   --cores=N       fleet size (default: up to 4, never more than
  *                   the machine's CPU count minus one)
  *   --p99-bound=S   Realtime p99 latency gate in seconds (default 0.5)

@@ -271,10 +271,12 @@ Machine::execSpmv(const Instruction& instr)
         }
     };
 
-    const Index width = effectiveNumThreads();
-    if (num_chains > 1 && width > 1 && !ThreadPool::insideWorker() &&
-        static_cast<Index>(matrix.flatValues.size()) >=
-            kParallelThreshold) {
+    // Size before thread count: a tiny matrix never asks for a width.
+    Index width = 1;
+    if (num_chains > 1 && !ThreadPool::insideWorker() &&
+        static_cast<Index>(matrix.flatValues.size()) >= kParallelThreshold)
+        width = effectiveNumThreads();
+    if (width > 1) {
         const Index grain =
             std::max<Index>(1, num_chains / (width * 4));
         ThreadPool::global().parallelFor(0, num_chains, grain,

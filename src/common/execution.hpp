@@ -24,10 +24,11 @@ namespace rsqp
 struct ExecutionConfig
 {
     /**
-     * Worker threads for the parallel hot path. 0 means "use the
-     * hardware concurrency"; 1 forces fully serial execution. The
-     * result is bitwise-identical at every setting — threading only
-     * changes wall clock, never the deterministic reduction order.
+     * Worker threads for the parallel hot path. 0 means the hardware
+     * thread count, read once per process; 1 forces fully serial
+     * execution. The result is bitwise-identical at every setting —
+     * threading only changes wall clock, never the deterministic
+     * reduction order.
      */
     Index numThreads = 0;
 };

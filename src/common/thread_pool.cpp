@@ -51,8 +51,6 @@ thread_local Index tlsNumThreads = 0;
 /** Is this thread currently running inside a parallel region? */
 thread_local bool tlsInsideWorker = false;
 
-std::atomic<Index> processNumThreads{0};
-
 struct InsideWorkerScope
 {
     bool prev;
@@ -65,15 +63,11 @@ struct InsideWorkerScope
 unsigned
 hardwareConcurrency()
 {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n > 0 ? n : 1;
-}
-
-void
-setProcessNumThreads(Index n)
-{
-    RSQP_ASSERT(n >= 0, "setProcessNumThreads: negative count");
-    processNumThreads.store(n);
+    // Read once: the OS query enters the kernel on every call (~2 us),
+    // which a tiny solve would otherwise pay on every kernel it runs.
+    static const unsigned count =
+        std::max(1u, std::thread::hardware_concurrency());
+    return count;
 }
 
 Index
@@ -81,9 +75,6 @@ effectiveNumThreads()
 {
     if (tlsNumThreads > 0)
         return tlsNumThreads;
-    const Index process_default = processNumThreads.load();
-    if (process_default > 0)
-        return process_default;
     return static_cast<Index>(hardwareConcurrency());
 }
 
@@ -196,14 +187,18 @@ ThreadPool::parallelFor(Index begin, Index end, Index grain,
     const Count span = static_cast<Count>(end) - begin;
     const Count num_chunks = (span + grain - 1) / grain;
 
-    Count budget = max_workers > 0 ? static_cast<Count>(max_workers)
-                                   : static_cast<Count>(
-                                         effectiveNumThreads());
-    budget = std::min(budget,
-                      static_cast<Count>(workers_.size()) + 1);
-    budget = std::min(budget, num_chunks);
+    // Size and nesting are tested before the thread count is asked for.
+    Count budget = 1;
+    if (num_chunks > 1 && !tlsInsideWorker) {
+        budget = max_workers > 0
+            ? static_cast<Count>(max_workers)
+            : static_cast<Count>(effectiveNumThreads());
+        budget = std::min(budget,
+                          static_cast<Count>(workers_.size()) + 1);
+        budget = std::min(budget, num_chunks);
+    }
 
-    if (budget <= 1 || tlsInsideWorker) {
+    if (budget <= 1) {
         // Serial fallback / nested region: same chunk arithmetic is
         // preserved by callers that care (reduceSum iterates chunks in
         // order); elementwise bodies are order-insensitive anyway.

@@ -22,9 +22,10 @@
  *     the pool is bypassed entirely: the body runs inline on the
  *     calling thread.
  *
- * The effective thread count is resolved per calling thread:
- * a NumThreadsScope override if one is active, else the process-wide
- * default (setProcessNumThreads), else std::thread::hardware_concurrency.
+ * The effective thread count is resolved per calling thread: the
+ * innermost NumThreadsScope override if one is active, else the
+ * hardware thread count, read once per process. Every parallel gate
+ * tests the range size (and nesting) before it asks for the count.
  */
 
 #ifndef RSQP_COMMON_THREAD_POOL_HPP
@@ -44,19 +45,17 @@
 namespace rsqp
 {
 
-/** Hardware thread count (always >= 1). */
+/**
+ * Hardware thread count (always >= 1), read from the OS on the first
+ * call and cached for the life of the process; the global pool is
+ * sized from the same value.
+ */
 unsigned hardwareConcurrency();
 
 /**
- * Process-wide default thread count: 0 restores the hardware default.
- * Applies to every thread with no active NumThreadsScope.
- */
-void setProcessNumThreads(Index n);
-
-/**
  * Thread count the calling thread would use for a parallel region
- * (>= 1): the innermost NumThreadsScope override, else the process
- * default, else hardwareConcurrency().
+ * (>= 1): the innermost NumThreadsScope override, else
+ * hardwareConcurrency().
  */
 Index effectiveNumThreads();
 

@@ -388,17 +388,17 @@ solveBatch(const std::vector<QpProblem>& problems,
     if (problems.empty())
         return results;
 
-    const Index width = num_threads > 0
-        ? num_threads
-        : effectiveNumThreads();
-
     auto solve_one = [&](Index i) {
         const auto s = static_cast<std::size_t>(i);
         RsqpSolver solver(problems[s], settings, custom);
         results[s] = solver.solve();
     };
 
-    if (width <= 1 || problems.size() == 1) {
+    Index width = 1;
+    if (problems.size() > 1)
+        width = num_threads > 0 ? num_threads : effectiveNumThreads();
+
+    if (width <= 1) {
         for (Index i = 0; i < static_cast<Index>(problems.size()); ++i)
             solve_one(i);
         return results;

@@ -336,8 +336,8 @@ ReducedKktOperator::apply(const Vector& x, Vector& y) const
         };
         // Tested here, not left to parallelFor, so a serial apply builds
         // no std::function: the steady-state PCG loop is allocation-free.
-        if (blocks > 1 && effectiveNumThreads() > 1 &&
-            !ThreadPool::insideWorker())
+        if (blocks > 1 && !ThreadPool::insideWorker() &&
+            effectiveNumThreads() > 1)
             ThreadPool::global().parallelFor(0, blocks, 1, run_blocks);
         else
             run_blocks(0, blocks);

@@ -81,9 +81,10 @@ struct ServiceConfig
      *  from a lower class or Rejected. */
     std::size_t maxQueueDepth = 64;
     /** Max sessions solving at once on a single-core fleet (0 =
-     *  execution.numThreads, then effectiveNumThreads() when that is 0
-     *  too). With coreCount > 1 concurrency is the fleet's slot
-     *  capacity instead (see FleetConfig::slotsPerCore). */
+     *  execution.numThreads, then effectiveNumThreads(), the hardware
+     *  thread count outside any NumThreadsScope, when that is 0 too).
+     *  With coreCount > 1 concurrency is the fleet's slot capacity
+     *  instead (see FleetConfig::slotsPerCore). */
     unsigned maxConcurrency = 0;
     /** Customization-cache capacity in artifacts per core partition
      *  (0 disables). */

@@ -247,7 +247,9 @@ TEST(ThreadPool, ReduceMaxFindsTheMaximum)
 
 TEST(ThreadPool, NumThreadsScopeOverridesAndRestores)
 {
+    // With no override active the count is the hardware count.
     const Index ambient = effectiveNumThreads();
+    EXPECT_EQ(ambient, static_cast<Index>(hardwareConcurrency()));
     EXPECT_GE(ambient, 1);
     {
         NumThreadsScope scope(3);

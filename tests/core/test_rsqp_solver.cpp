@@ -5,6 +5,8 @@
  * starting on the generated architecture.
  */
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "core/rsqp_solver.hpp"
@@ -119,6 +121,38 @@ TEST(RsqpSolver, ParametricCostUpdateReusesArchitecture)
                 1e-2 * (1.0 + std::abs(ref.info.objective)));
     // Warm start converges in fewer iterations than cold start.
     EXPECT_LE(second.iterations, first.iterations);
+}
+
+TEST(RsqpSolver, DefaultThreadCountSpendsNoSystemTime)
+{
+    // Tiny parametric re-solves at default settings (numThreads = 0)
+    // must stay out of the kernel: the hardware thread count is read
+    // once per process, and a small SpMV never asks for it.
+    const QpProblem qp = generateProblem(Domain::Control, 4, 1);
+    RsqpSolver solver(qp, OsqpSettings{}, CustomizeSettings{});
+    ASSERT_EQ(solver.solve().status, SolveStatus::Solved);
+
+    const auto seconds = [](const timeval& t) {
+        return static_cast<double>(t.tv_sec) +
+            1e-6 * static_cast<double>(t.tv_usec);
+    };
+    rusage before{};
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+    Vector q = qp.q;
+    for (int k = 0; k < 200; ++k) {
+        for (std::size_t i = 0; i < q.size(); ++i)
+            q[i] = qp.q[i] * (1.0 + 1e-3 * static_cast<Real>((k + i) % 7));
+        solver.updateLinearCost(q);
+        solver.solve();
+    }
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+
+    const double user = seconds(after.ru_utime) - seconds(before.ru_utime);
+    const double sys = seconds(after.ru_stime) - seconds(before.ru_stime);
+    ASSERT_GT(user + sys, 0.0);
+    EXPECT_LE(sys, 0.1 * (user + sys))
+        << "user " << user << " s, system " << sys << " s";
 }
 
 TEST(RsqpSolver, BoundsUpdateMatchesReference)
