@@ -39,21 +39,22 @@ main(int argc, char** argv)
         CustomizeSettings cfg64;
         cfg64.c = options.deviceC;
         RsqpSolver fp64(qp, settings, cfg64);
-        const RsqpResult r64 = fp64.solve();
+        const OsqpResult r64 = fp64.solve();
 
         CustomizeSettings cfg32;
         cfg32.c = options.deviceC;
         cfg32.fp32Datapath = true;
         RsqpSolver fp32(qp, settings, cfg32);
-        const RsqpResult r32 = fp32.solve();
+        const OsqpResult r32 = fp32.solve();
 
         const Real rel_err =
-            std::abs(r32.objective - r64.objective) /
-            (1.0 + std::abs(r64.objective));
+            std::abs(r32.info.objective - r64.info.objective) /
+            (1.0 + std::abs(r64.info.objective));
         table.addRow({spec.name, toString(spec.domain),
-                      std::to_string(r64.iterations),
-                      std::to_string(r32.iterations),
-                      statusToString(r64.status), statusToString(r32.status),
+                      std::to_string(r64.info.iterations),
+                      std::to_string(r32.info.iterations),
+                      statusToString(r64.info.status),
+                      statusToString(r32.info.status),
                       formatSci(rel_err, 1)});
     }
     emitTable(table, options,

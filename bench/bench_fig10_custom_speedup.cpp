@@ -36,7 +36,7 @@ main(int argc, char** argv)
                       formatFixed(meas.deviceCustom.deviceSeconds * 1e3,
                                   3),
                       formatFixed(speedup, 2),
-                      meas.deviceCustom.archName});
+                      meas.deviceCustomArch});
     }
     emitTable(table, options,
               "Fig. 10: solver speedup from problem-specific "

@@ -164,7 +164,7 @@ BM_SimulatedSolve(benchmark::State& state)
         CustomizeSettings custom;
         custom.c = 64;
         RsqpSolver solver(qp, settings, custom);
-        RsqpResult result = solver.solve();
+        OsqpResult result = solver.solve();
         benchmark::DoNotOptimize(result.x.data());
     }
 }
@@ -315,30 +315,6 @@ BM_ThreadedMachineSpmv(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * csr.nnz());
 }
 BENCHMARK(BM_ThreadedMachineSpmv)->Arg(1)->Arg(4)->Arg(8);
-
-void
-BM_SolveBatch(benchmark::State& state)
-{
-    // Independent QP instances fanned across host threads; range(0)
-    // is the batch width passed to solveBatch.
-    std::vector<QpProblem> problems;
-    for (int i = 0; i < 8; ++i)
-        problems.push_back(generateProblem(
-            allDomains()[static_cast<std::size_t>(i) % 6], 16,
-            static_cast<std::uint64_t>(50 + i)));
-    OsqpSettings settings;
-    settings.backend = KktBackend::IndirectPcg;
-    CustomizeSettings custom;
-    custom.c = 32;
-    for (auto _ : state) {
-        auto results = solveBatch(problems, settings, custom,
-                                  static_cast<Index>(state.range(0)));
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(problems.size()));
-}
-BENCHMARK(BM_SolveBatch)->Arg(1)->Arg(4)->Arg(8);
 
 void
 BM_SolutionPolish(benchmark::State& state)

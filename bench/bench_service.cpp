@@ -156,9 +156,9 @@ main(int argc, char** argv)
                 : 0.0;
         {
             RsqpSolver reference(probe, settings, custom);
-            const RsqpResult ref = reference.solve();
+            const OsqpResult ref = reference.solve();
             row.warmBitwiseEqual =
-                ref.status == warm.status && ref.x == warm.x &&
+                ref.info.status == warm.status && ref.x == warm.x &&
                 ref.y == warm.y;
         }
 

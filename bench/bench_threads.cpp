@@ -1,9 +1,10 @@
 /**
  * @file
  * Host-threading scaling study: wall clock and speedup versus thread
- * count for the three threaded hot paths — the simulated SpMV engine
- * (lane-chain fan-out), the parallel vector kernels (dot / axpy), and
- * solveBatch over independent QP instances.
+ * count for the threaded hot paths — the simulated SpMV engine
+ * (lane-chain fan-out) and the parallel vector kernels (dot / axpy).
+ * Concurrent independent solves are measured through the service by
+ * bench_fleet and bench_service.
  *
  * Flags:
  *   --quick         small sizes / few reps (CI smoke)
@@ -195,41 +196,6 @@ benchVectorOps(const Options& options)
     return rows;
 }
 
-/** solveBatch over independent QP instances. */
-std::vector<Row>
-benchBatch(const Options& options)
-{
-    const Index size = options.quick ? 16 : 40;
-    const int reps = options.quick ? 2 : 3;
-
-    std::vector<QpProblem> problems;
-    const auto& domains = allDomains();
-    for (int i = 0; i < 8; ++i)
-        problems.push_back(generateProblem(
-            domains[static_cast<std::size_t>(i) % domains.size()], size,
-            static_cast<std::uint64_t>(40 + i)));
-
-    OsqpSettings settings;
-    settings.backend = KktBackend::IndirectPcg;
-    CustomizeSettings custom;
-    custom.c = 32;
-
-    std::vector<Row> rows;
-    for (Index threads : options.threads) {
-        Row row;
-        row.kernel = "solve_batch_8";
-        row.threads = threads;
-        row.seconds = timeBest(reps, [&] {
-            auto results = solveBatch(problems, settings, custom,
-                                      threads);
-            if (results.empty())
-                std::abort();
-        });
-        rows.push_back(row);
-    }
-    return rows;
-}
-
 void
 fillSpeedups(std::vector<Row>& rows)
 {
@@ -252,8 +218,6 @@ main(int argc, char** argv)
     std::vector<Row> rows = benchSpmv(options);
     const std::vector<Row> vec_rows = benchVectorOps(options);
     rows.insert(rows.end(), vec_rows.begin(), vec_rows.end());
-    const std::vector<Row> batch_rows = benchBatch(options);
-    rows.insert(rows.end(), batch_rows.begin(), batch_rows.end());
     fillSpeedups(rows);
 
     if (options.json) {

@@ -124,8 +124,9 @@ struct ProblemMeasurement
     OsqpInfo cpuInfo;
 
     // Simulated FPGA.
-    RsqpResult deviceBaseline;
-    RsqpResult deviceCustom;
+    OsqpResult deviceBaseline;
+    OsqpResult deviceCustom;
+    std::string deviceCustomArch;  ///< "C{...}+cvb" tag
 
     // GPU model.
     GpuSolveEstimate gpu;
@@ -177,6 +178,7 @@ measureProblem(const ProblemSpec& spec, const BenchOptions& options)
         custom_cfg.c = options.deviceC;
         RsqpSolver customized(qp, settings, custom_cfg);
         meas.deviceCustom = customized.solve();
+        meas.deviceCustomArch = customized.config().name();
     }
 
     // GPU model, driven by the CPU run's trajectory.

@@ -47,7 +47,7 @@ main()
     std::printf("%-10s %-9s %6s %12s %10s %9s\n", "lambda", "status",
                 "iters", "device_us", "nonzeros", "obj");
     const int path_points = 12;
-    RsqpResult result;
+    OsqpResult result;
     bool warm = false;
     for (int k = 0; k < path_points; ++k) {
         // Geometric path from lambda_max down to lambda_max / 100.
@@ -68,9 +68,10 @@ main()
             if (std::abs(result.x[static_cast<std::size_t>(j)]) > 1e-4)
                 ++selected;
         std::printf("%-10.4f %-9s %6d %12.1f %10d %9.3f\n", lambda,
-                    statusToString(result.status), result.iterations,
-                    result.deviceSeconds * 1e6, selected,
-                    result.objective);
+                    statusToString(result.info.status),
+                    result.info.iterations, result.deviceSeconds * 1e6,
+                    selected,
+                    result.info.objective);
     }
     std::printf("\nthe support grows monotonically as lambda shrinks; "
                 "every point reused the\nsame generated architecture "

@@ -46,7 +46,7 @@ main()
     const int steps = 10;
     Count total_cycles = 0;
     Index total_iters = 0;
-    RsqpResult result = controller.solve();
+    OsqpResult result = controller.solve();
     for (int step = 0; step < steps; ++step) {
         Vector q = qp.q;
         for (std::size_t j = 0; j < q.size(); ++j)
@@ -56,11 +56,11 @@ main()
         controller.warmStart(result.x, result.y);
         result = controller.solve();
         total_cycles += result.machineStats.totalCycles;
-        total_iters += result.iterations;
+        total_iters += result.info.iterations;
         std::printf("step %2d: %-9s iters=%3d  device=%7.1f us  "
                     "u0=%+.4f\n",
-                    step, statusToString(result.status), result.iterations,
-                    result.deviceSeconds * 1e6,
+                    step, statusToString(result.info.status),
+                    result.info.iterations, result.deviceSeconds * 1e6,
                     result.x[static_cast<std::size_t>(
                         10 * nx)]);  // first input variable
     }
@@ -68,7 +68,7 @@ main()
                 "%.2f ms simulated control time for %d steps\n",
                 total_iters, static_cast<long long>(total_cycles),
                 static_cast<double>(total_cycles) /
-                    (result.fmaxMhz * 1e3),
+                    (estimateFmaxMhz(controller.config()) * 1e3),
                 steps);
     return 0;
 }

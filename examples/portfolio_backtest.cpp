@@ -46,7 +46,7 @@ main()
         v = rng.normal(0.0, 0.2);
 
     double device_seconds_total = 0.0;
-    RsqpResult result = solver.solve();
+    OsqpResult result = solver.solve();
     Real prev_top_weight = 0.0;
     for (int t = 0; t < periods; ++t) {
         // Returns drift.
@@ -73,7 +73,8 @@ main()
         if (t % 5 == 0 || t == periods - 1)
             std::printf("period %2d: %-9s iters=%3d  device=%7.1f us  "
                         "top asset #%d (%.1f %%)\n",
-                        t, statusToString(result.status), result.iterations,
+                        t, statusToString(result.info.status),
+                        result.info.iterations,
                         result.deviceSeconds * 1e6, top_asset,
                         100.0 * top);
         prev_top_weight = top;

@@ -54,12 +54,13 @@ main()
     CustomizeSettings custom;
     custom.c = 16;  // datapath width
     RsqpSolver fpga(qp, settings, custom);
-    const RsqpResult acc = fpga.solve();
+    const OsqpResult acc = fpga.solve();
     std::printf("RSQP  : status=%s x=(%.4f, %.4f) obj=%.6f iters=%d\n",
-                statusToString(acc.status), acc.x[0], acc.x[1], acc.objective,
-                acc.iterations);
+                statusToString(acc.info.status), acc.x[0], acc.x[1],
+                acc.info.objective, acc.info.iterations);
     std::printf("arch  : %s  eta=%.3f  fmax=%.0f MHz\n",
-                acc.archName.c_str(), acc.eta, acc.fmaxMhz);
+                fpga.config().name().c_str(), acc.eta,
+                estimateFmaxMhz(fpga.config()));
     std::printf("cycles: %lld  (%.2f us simulated device time)\n",
                 static_cast<long long>(acc.machineStats.totalCycles),
                 acc.deviceSeconds * 1e6);

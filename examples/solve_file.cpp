@@ -75,18 +75,19 @@ main(int argc, char** argv)
             settings.backend = KktBackend::IndirectPcg;
             CustomizeSettings custom;
             RsqpSolver solver(qp, settings, custom);
-            const RsqpResult result = solver.solve();
+            const OsqpResult result = solver.solve();
             std::printf("fpga(%s): %s in %d iters, obj=%.8g\n"
                         "device time %.3f ms (%lld cycles @ %.0f MHz), "
                         "eta=%.3f, host wall %.1f ms\n",
-                        result.archName.c_str(),
-                        statusToString(result.status), result.iterations,
-                        result.objective, result.deviceSeconds * 1e3,
+                        solver.config().name().c_str(),
+                        statusToString(result.info.status),
+                        result.info.iterations, result.info.objective,
+                        result.deviceSeconds * 1e3,
                         static_cast<long long>(
                             result.machineStats.totalCycles),
-                        result.fmaxMhz, result.eta,
+                        estimateFmaxMhz(solver.config()), result.eta,
                         timer.seconds() * 1e3);
-            return result.status == SolveStatus::Solved ? 0 : 1;
+            return result.info.status == SolveStatus::Solved ? 0 : 1;
         }
         settings.backend = std::strcmp(backend, "indirect") == 0
             ? KktBackend::IndirectPcg

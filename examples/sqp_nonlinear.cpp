@@ -142,10 +142,10 @@ main()
         }
         solver.updateBounds(l, u);
 
-        const RsqpResult step = solver.solve();
-        if (step.status != SolveStatus::Solved) {
+        const OsqpResult step = solver.solve();
+        if (step.info.status != SolveStatus::Solved) {
             std::printf("subproblem failed: %s\n",
-                        statusToString(step.status));
+                        statusToString(step.info.status));
             return 1;
         }
         total_cycles += step.machineStats.totalCycles;
@@ -169,7 +169,7 @@ main()
         }
         std::printf("%4d %14.6f %12.3e %10.1f %6d\n", iter,
                     objective(x), step_norm,
-                    step.deviceSeconds * 1e6, step.iterations);
+                    step.deviceSeconds * 1e6, step.info.iterations);
         if (step_norm < 1e-6)
             break;
     }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/machine_stats.hpp"
 #include "common/types.hpp"
 
 namespace rsqp
@@ -60,17 +61,6 @@ enum class Opcode
 
     // Sparse matrix-vector multiply
     SpMV,        ///< v[dst] = M[a] * cvb[cvbOf(M[a])]
-};
-
-/** Instruction-class of an opcode (for per-class cycle statistics). */
-enum class InstrClass
-{
-    Control,
-    Scalar,
-    DataTransfer,
-    VectorOp,
-    VectorDup,
-    SpMV,
 };
 
 /** Classify an opcode per Table 1. */

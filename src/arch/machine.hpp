@@ -28,29 +28,13 @@
 
 #include "arch/config.hpp"
 #include "arch/isa.hpp"
+#include "arch/machine_stats.hpp"
 #include "common/types.hpp"
 #include "cvb/cvb.hpp"
 #include "encoding/packing.hpp"
 
 namespace rsqp
 {
-
-/** Execution statistics of one program run. */
-struct MachineStats
-{
-    Count totalCycles = 0;
-    Count instructions = 0;
-    /** Cycles and instruction counts per Table 1 instruction class. */
-    std::array<Count, 6> classCycles{};
-    std::array<Count, 6> classCounts{};
-    Count spmvPacks = 0;   ///< total matrix packs streamed from HBM
-    Count dupCells = 0;    ///< total CVB cells written by VecDup
-
-    Count cyclesOf(InstrClass cls) const
-    {
-        return classCycles[static_cast<std::size_t>(cls)];
-    }
-};
 
 /** The simulated accelerator. */
 class Machine

@@ -72,8 +72,6 @@ class PdhgSolver final : public QpBackend
         return validation_;
     }
     BackendKind kind() const override { return BackendKind::Pdhg; }
-    Index numVariables() const override { return n_; }
-    Index numConstraints() const override { return m_; }
 
     // --- introspection for tests/bench --------------------------------
 

@@ -1,15 +1,21 @@
 /**
  * @file
- * The pluggable first-order backend interface.
+ * The QP engine interface.
  *
  * A QpBackend is "one QP structure, set up once, solved many times",
  * with the engine behind it swappable: OsqpSolver (the classic ADMM
- * loop, which implements this interface itself) or the restarted
- * PDHG engine. makeBackend resolves BackendKind::Auto once at setup
- * with chooseBackend and returns the chosen engine. Every
- * implementation returns the same OsqpResult with SolveStatus /
+ * loop, which implements this interface itself), the restarted PDHG
+ * engine, or RsqpSolver (the ADMM loop on the simulated RSQP device,
+ * in src/core). makeBackend builds the host engines and resolves
+ * BackendKind::Auto once at setup with chooseBackend; the device
+ * needs CustomizeSettings, so its callers construct it directly.
+ * Every implementation returns the same OsqpResult with SolveStatus /
  * OsqpInfo / SolveTelemetry semantics, so callers, telemetry
- * pipelines and bench artifacts never care which method ran.
+ * pipelines and bench artifacts never care which engine ran.
+ *
+ * The host engines check setTimeLimit's budget in-loop. The device's
+ * simulated run is not interruptible: it keeps the budget and never
+ * reads it, and the service enforces Device deadlines at dispatch.
  *
  * Construction never throws on caller input: a malformed problem or
  * settings leaves the backend inert and every solve() returns
@@ -30,7 +36,7 @@
 namespace rsqp
 {
 
-/** Abstract first-order QP engine (see file comment). */
+/** Abstract QP engine (see file comment). */
 class QpBackend
 {
   public:
@@ -65,14 +71,11 @@ class QpBackend
     /** Setup diagnostics (ok() unless the backend is inert). */
     virtual const ValidationReport& validation() const = 0;
 
-    /** Which engine this is (Admm or Pdhg, never Auto). */
+    /** Which method this engine runs (Admm or Pdhg, never Auto). */
     virtual BackendKind kind() const = 0;
 
     /** Printable engine name. */
     const char* name() const { return backendKindName(kind()); }
-
-    virtual Index numVariables() const = 0;
-    virtual Index numConstraints() const = 0;
 };
 
 /**

@@ -2,8 +2,9 @@
  * @file
  * Fixed-size worker pool shared by the hot execution paths: the
  * parallel vector kernels (linalg/vector_ops), the simulated SpMV
- * engine lanes (arch/machine) and the multi-instance batch solver
- * (core/rsqp_solver::solveBatch).
+ * engine lanes (arch/machine), the fused reduced-KKT apply
+ * (linalg/kkt) and the service's concurrent solves
+ * (service/service).
  *
  * Design goals, in priority order:
  *
@@ -16,8 +17,9 @@
  *     run-to-run at any thread count (1 included).
  *  2. **Nested safety.** A parallelFor issued from inside a pool task
  *     runs inline (serially) instead of re-entering the pool, so
- *     nested parallel regions (e.g. a threaded solve inside
- *     solveBatch) can never deadlock and never oversubscribe.
+ *     nested parallel regions (e.g. a threaded kernel inside a
+ *     solve the service runs on the pool) can never deadlock and
+ *     never oversubscribe.
  *  3. **Exact legacy fallback.** With an effective thread count of 1
  *     the pool is bypassed entirely: the body runs inline on the
  *     calling thread.

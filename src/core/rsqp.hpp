@@ -41,6 +41,7 @@
 #include "gpu/gpu_model.hpp"
 #include "hwmodel/devices.hpp"
 #include "hwmodel/power.hpp"
+#include "hwmodel/resources.hpp"
 #include "osqp/builder.hpp"
 #include "osqp/polish.hpp"
 #include "osqp/problem_io.hpp"

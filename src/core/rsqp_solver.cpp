@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "hwmodel/resources.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/residuals.hpp"
@@ -228,17 +228,16 @@ RsqpSolver::updateMatrixValues(const std::vector<Real>& p_values,
     }
 }
 
-RsqpResult
+OsqpResult
 RsqpSolver::solve()
 {
     TELEMETRY_SPAN("device.run");
-    RsqpResult result;
-    result.telemetry.route = customizationReused_
-        ? SolveRoute::CacheThaw
-        : SolveRoute::FullCustomize;
+    Timer solve_timer;
+    OsqpResult result;
+    OsqpInfo& info = result.info;
     if (!validation_.ok()) {
         result.validation = validation_;
-        result.status = SolveStatus::InvalidProblem;
+        info.status = SolveStatus::InvalidProblem;
         return result;
     }
 
@@ -260,6 +259,8 @@ RsqpSolver::solve()
     // attempts — the retry cost is real device time.
     const FaultInjector* injector = machine_->faultInjector();
     const Index max_attempts = injector != nullptr ? 2 : 1;
+    const Count faults_before =
+        injector != nullptr ? injector->faultsInjected() : 0;
 
     for (Index attempt = 1; attempt <= max_attempts; ++attempt) {
         machine_->run(prog_.program);
@@ -280,41 +281,41 @@ RsqpSolver::solve()
             result.z[s] = scaling_.eInv[s] * zs[s];
         }
 
-        result.status = machine_->scalarValue(prog_.sStatus) > 0.5
+        info.status = machine_->scalarValue(prog_.sStatus) > 0.5
             ? SolveStatus::Solved
             : SolveStatus::MaxIterReached;
-        result.iterations =
+        info.iterations =
             static_cast<Index>(scalar_or(prog_.sIterations, 0.0));
-        result.pcgIterationsTotal =
+        info.pcgIterationsTotal =
             static_cast<Count>(scalar_or(prog_.sPcgTotal, 0.0));
-        result.rhoUpdates =
+        info.rhoUpdates =
             static_cast<Index>(scalar_or(prog_.sRhoUpdates, 0.0));
-        result.primRes = machine_->scalarValue(prog_.sPrimRes);
-        result.dualRes = machine_->scalarValue(prog_.sDualRes);
+        info.primRes = machine_->scalarValue(prog_.sPrimRes);
+        info.dualRes = machine_->scalarValue(prog_.sDualRes);
 
         bool healthy = !(hasNonFinite(result.x) ||
                          hasNonFinite(result.y) ||
                          hasNonFinite(result.z));
         if (healthy && injector != nullptr &&
-            result.status == SolveStatus::Solved) {
+            info.status == SolveStatus::Solved) {
             // The device's own convergence verdict rides on registers
             // the injector may have corrupted — re-verify on the host.
             const ResidualInfo res = computeResiduals(
                 original_, result.x, result.y, result.z,
                 settings_.epsAbs, settings_.epsRel);
-            result.primRes = res.primRes;
-            result.dualRes = res.dualRes;
+            info.primRes = res.primRes;
+            info.dualRes = res.dualRes;
             healthy = res.converged();
         }
         if (healthy)
             break;
 
         if (attempt < max_attempts) {
-            result.recovery.record(
-                RecoveryAction::FaultRetry, result.iterations,
+            info.recovery.record(
+                RecoveryAction::FaultRetry, info.iterations,
                 "device run returned non-finite or unverifiable "
                 "results");
-            ++result.recovery.faultRetries;
+            ++info.recovery.faultRetries;
             continue;
         }
 
@@ -323,39 +324,38 @@ RsqpSolver::solve()
         result.x.assign(static_cast<std::size_t>(n), 0.0);
         result.y.assign(static_cast<std::size_t>(m), 0.0);
         result.z.assign(static_cast<std::size_t>(m), 0.0);
-        result.primRes = kInf;
-        result.dualRes = kInf;
-        result.status = SolveStatus::NumericalError;
+        info.primRes = kInf;
+        info.dualRes = kInf;
+        info.status = SolveStatus::NumericalError;
     }
 
-    result.objective = original_.objective(result.x);
-    if (injector != nullptr)
-        result.faultsInjected = injector->faultsInjected();
+    info.objective = original_.objective(result.x);
+    info.solveTime = solve_timer.seconds();
 
     result.machineStats = machine_->stats();
-    result.fmaxMhz = estimateFmaxMhz(custom_.config);
     result.deviceSeconds =
         static_cast<Real>(result.machineStats.totalCycles) /
-        (result.fmaxMhz * 1e6);
+        (estimateFmaxMhz(custom_.config) * 1e6);
     result.eta = custom_.eta();
-    result.archName = custom_.config.name();
 
-    // The device engine always runs the ADMM recurrence; the label
-    // keeps device and host telemetry comparable per backend.
-    result.telemetry.backend = "admm";
-    result.telemetry.iterations = result.iterations;
-    result.telemetry.kktSolves = static_cast<Count>(result.iterations);
-    result.telemetry.pcgIterationsTotal = result.pcgIterationsTotal;
-    if (result.iterations > 0)
-        result.telemetry.pcgItersPerSolve =
-            static_cast<Real>(result.pcgIterationsTotal) /
-            static_cast<Real>(result.iterations);
-    result.telemetry.pushResidual(result.iterations, result.primRes,
-                                  result.dualRes);
-    result.telemetry.recoveryEvents =
-        static_cast<Count>(result.recovery.events.size());
-    result.telemetry.faultsInjected = result.faultsInjected;
-    result.telemetry.solveSeconds = result.deviceSeconds;
+    SolveTelemetry& tele = info.telemetry;
+    tele.backend = name();
+    tele.iterations = info.iterations;
+    tele.kktSolves = static_cast<Count>(info.iterations);
+    tele.pcgIterationsTotal = info.pcgIterationsTotal;
+    if (info.iterations > 0)
+        tele.pcgItersPerSolve =
+            static_cast<Real>(info.pcgIterationsTotal) /
+            static_cast<Real>(info.iterations);
+    tele.pushResidual(info.iterations, info.primRes, info.dualRes);
+    tele.recoveryEvents =
+        static_cast<Count>(info.recovery.events.size());
+    // The injector counts over the machine's lifetime; report this
+    // solve's share, as the host engines do.
+    tele.faultsInjected = injector != nullptr
+        ? injector->faultsInjected() - faults_before
+        : 0;
+    tele.solveSeconds = info.solveTime;
 
     {
         static telemetry::Counter& solves =
@@ -372,49 +372,11 @@ RsqpSolver::solve()
                 "Device runs retried after corrupted results");
         solves.increment();
         iters.add(static_cast<std::uint64_t>(
-            std::max<Index>(result.iterations, 0)));
+            std::max<Index>(info.iterations, 0)));
         retries.add(static_cast<std::uint64_t>(
-            std::max<Count>(result.recovery.faultRetries, 0)));
+            std::max<Count>(info.recovery.faultRetries, 0)));
     }
     return result;
-}
-
-std::vector<RsqpResult>
-solveBatch(const std::vector<QpProblem>& problems,
-           const OsqpSettings& settings, const CustomizeSettings& custom,
-           Index num_threads)
-{
-    std::vector<RsqpResult> results(problems.size());
-    if (problems.empty())
-        return results;
-
-    auto solve_one = [&](Index i) {
-        const auto s = static_cast<std::size_t>(i);
-        RsqpSolver solver(problems[s], settings, custom);
-        results[s] = solver.solve();
-    };
-
-    Index width = 1;
-    if (problems.size() > 1)
-        width = num_threads > 0 ? num_threads : effectiveNumThreads();
-
-    if (width <= 1) {
-        for (Index i = 0; i < static_cast<Index>(problems.size()); ++i)
-            solve_one(i);
-        return results;
-    }
-
-    ThreadPool::global().parallelFor(
-        0, static_cast<Index>(problems.size()), 1,
-        [&](Index b, Index e) {
-            // Pin each instance to its host thread: intra-solve
-            // parallelism would only contend with the batch fan-out.
-            NumThreadsScope serial_instance(1);
-            for (Index i = b; i < e; ++i)
-                solve_one(i);
-        },
-        static_cast<unsigned>(width));
-    return results;
 }
 
 } // namespace rsqp

@@ -8,8 +8,9 @@
  * "generate the hardware" (instantiate the cycle-level machine), lower
  * OSQP onto the ISA, and load the packed matrices into HBM. solve()
  * then runs the program, reads back the scaled solution, unscales it,
- * and converts the cycle count into wall-clock time through the fmax
- * model. Parametric re-solves (new q / bounds / warm starts) reuse the
+ * and converts the cycle count into modeled device time through the
+ * fmax model; the host wall clock of the run is timed separately.
+ * Parametric re-solves (new q / bounds / warm starts) reuse the
  * generated architecture — the amortization story of the paper.
  */
 
@@ -21,6 +22,7 @@
 
 #include "arch/machine.hpp"
 #include "arch/osqp_program.hpp"
+#include "backends/qp_backend.hpp"
 #include "core/customization.hpp"
 #include "osqp/scaling.hpp"
 #include "osqp/settings.hpp"
@@ -29,36 +31,20 @@
 namespace rsqp
 {
 
-/** Result of one accelerated solve. */
-struct RsqpResult
-{
-    Vector x;  ///< primal solution (unscaled)
-    Vector y;  ///< dual solution (unscaled)
-    Vector z;  ///< A x (unscaled)
+/**
+ * Former name of the result type. Only perfbench/layers.cpp still
+ * spells it, and the benchmark's sources change only together with
+ * the benchmark; everything else spells OsqpResult.
+ */
+using RsqpResult = OsqpResult;
 
-    SolveStatus status = SolveStatus::Unsolved;
-    Index iterations = 0;
-    Count pcgIterationsTotal = 0;
-    Index rhoUpdates = 0;
-    Real primRes = 0.0;
-    Real dualRes = 0.0;
-    Real objective = 0.0;
-
-    MachineStats machineStats;
-    Real fmaxMhz = 0.0;
-    /** Accelerator wall-clock time: cycles / fmax. */
-    Real deviceSeconds = 0.0;
-    Real eta = 0.0;          ///< match score of the architecture
-    std::string archName;    ///< "C{...}+cvb" tag
-
-    RecoveryReport recovery;       ///< device-run retries on record
-    Count faultsInjected = 0;      ///< soft errors injected (testing)
-    ValidationReport validation;   ///< diagnostics when InvalidProblem
-    SolveTelemetry telemetry;      ///< per-solve observability record
-};
-
-/** OSQP on the simulated RSQP accelerator. */
-class RsqpSolver
+/**
+ * OSQP on the simulated RSQP accelerator: the device engine of the
+ * QpBackend interface. It runs the ADMM recurrence, so kind() is
+ * BackendKind::Admm; its results also carry the run's cycle counts,
+ * modeled device seconds and match score.
+ */
+class RsqpSolver final : public QpBackend
 {
   public:
     /**
@@ -86,7 +72,7 @@ class RsqpSolver
                std::shared_ptr<const CustomizationArtifact> artifact);
 
     /** Run the accelerator program and return the solution. */
-    RsqpResult solve();
+    OsqpResult solve() override;
 
     /**
      * Warm start the next solve() (unscaled guesses). A size mismatch
@@ -94,16 +80,16 @@ class RsqpSolver
      * warning and false is returned (the solve proceeds cold), in the
      * same spirit as the non-throwing InvalidProblem path.
      */
-    bool warmStart(const Vector& x, const Vector& y);
+    bool warmStart(const Vector& x, const Vector& y) override;
 
     /** True if setup reused a frozen artifact (skipped the pipeline). */
     bool customizationReused() const { return customizationReused_; }
 
     /** Replace q; the architecture and program are reused. */
-    void updateLinearCost(const Vector& q);
+    void updateLinearCost(const Vector& q) override;
 
     /** Replace the bounds; the architecture and program are reused. */
-    void updateBounds(const Vector& l, const Vector& u);
+    void updateBounds(const Vector& l, const Vector& u) override;
 
     /**
      * Replace the numeric values of P and/or A keeping the sparsity
@@ -113,14 +99,28 @@ class RsqpSolver
      * are rewritten — the paper's same-structure amortization.
      */
     void updateMatrixValues(const std::vector<Real>& p_values,
-                            const std::vector<Real>& a_values);
+                            const std::vector<Real>& a_values) override;
+
+    /**
+     * Stored and never read: the simulated run is not interruptible,
+     * so the service enforces Device deadlines at dispatch.
+     */
+    void setTimeLimit(Real seconds) override
+    {
+        settings_.timeLimit = seconds;
+    }
 
     /**
      * Problem diagnostics from setup. When not ok() the solver is
      * inert: solve() returns InvalidProblem, mutators are no-ops, and
      * machine()/program() must not be called.
      */
-    const ValidationReport& validation() const { return validation_; }
+    const ValidationReport& validation() const override
+    {
+        return validation_;
+    }
+
+    BackendKind kind() const override { return BackendKind::Admm; }
 
     const ProblemCustomization& customization() const { return custom_; }
     const ArchConfig& config() const { return custom_.config; }
@@ -139,26 +139,6 @@ class RsqpSolver
     OsqpMatrixIds mats_;
     OsqpDeviceProgram prog_;
 };
-
-/**
- * Solve independent QP instances concurrently — the multi-instance
- * analogue of the paper's "multiple solver cores per FPGA" deployment
- * (Table 3): each worker customizes, generates and runs its own
- * simulated accelerator.
- *
- * Every instance produces exactly the result of a standalone
- * RsqpSolver(problem, settings, custom).solve(): the per-instance
- * work is pinned to one host thread, so batch results are independent
- * of the batch width and of scheduling.
- *
- * @param num_threads Workers fanned across the batch (0 = library
- *        default, 1 = serial loop). The first exception thrown by any
- *        instance is rethrown after the batch drains.
- */
-std::vector<RsqpResult> solveBatch(const std::vector<QpProblem>& problems,
-                                   const OsqpSettings& settings,
-                                   const CustomizeSettings& custom,
-                                   Index num_threads = 0);
 
 } // namespace rsqp
 

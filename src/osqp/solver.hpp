@@ -113,9 +113,6 @@ class OsqpSolver final : public QpBackend
     /** Per-constraint rho vector currently in use (scaled space). */
     const Vector& rhoVec() const { return rhoVec_; }
 
-    Index numVariables() const override { return n_; }
-    Index numConstraints() const override { return m_; }
-
   private:
     void buildRhoVec(Real rho_bar);
     void rebuildKktSolver();

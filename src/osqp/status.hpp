@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/machine_stats.hpp"
 #include "common/types.hpp"
 #include "osqp/recovery.hpp"
 #include "osqp/validate.hpp"
@@ -91,7 +92,11 @@ struct PolishReport
     Real dualResAfter = 0.0;
 };
 
-/** Solution + info returned by OsqpSolver::solve(). */
+/**
+ * Solution + info returned by every QpBackend::solve(): the host
+ * engines and the simulated device alike. The device fields stay zero
+ * on host engines, as polish and trace stay empty on the device.
+ */
 struct OsqpResult
 {
     Vector x;  ///< primal solution (unscaled)
@@ -101,6 +106,10 @@ struct OsqpResult
     PolishReport polish;  ///< filled if settings.polish
     std::vector<IterationRecord> trace;  ///< filled if recordTrace
     ValidationReport validation;  ///< diagnostics when InvalidProblem
+
+    MachineStats machineStats;  ///< device: cycles of this run
+    Real deviceSeconds = 0.0;   ///< device: modeled time, cycles / fmax
+    Real eta = 0.0;             ///< device: architecture match score
 };
 
 } // namespace rsqp

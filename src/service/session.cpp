@@ -51,8 +51,7 @@ SolverSession::rebuild(const QpProblem& problem, bool cacheable,
         // Route through the backend factory: settings.firstOrder picks
         // ADMM (default), PDHG, or Auto, which the factory resolves
         // to one of the two here, once per structure.
-        host_ = makeBackend(problem, config_.osqp);
-        haveSolver_ = true;
+        engine_ = makeBackend(problem, config_.osqp);
         return;
     }
 
@@ -66,19 +65,19 @@ SolverSession::rebuild(const QpProblem& problem, bool cacheable,
         fp = fingerprintCustomization(problem, config_.custom);
         artifact = cache_->find(fp);
     }
-    device_ = std::make_unique<RsqpSolver>(problem, config_.osqp,
-                                           config_.custom,
-                                           std::move(artifact));
-    if (device_->customizationReused()) {
+    auto device = std::make_unique<RsqpSolver>(problem, config_.osqp,
+                                               config_.custom,
+                                               std::move(artifact));
+    if (device->customizationReused()) {
         result.cacheHit = true;
         ++stats_.cacheHits;
     } else if (useCache) {
         ++stats_.cacheMisses;
         cache_->insert(fp,
                        std::make_shared<CustomizationArtifact>(
-                           freezeCustomization(device_->customization())));
+                           freezeCustomization(device->customization())));
     }
-    haveSolver_ = true;
+    engine_ = std::move(device);
 }
 
 void
@@ -91,25 +90,14 @@ SolverSession::applyParametricUpdates(const QpProblem& problem)
         problem.pUpper.values() != current_.pUpper.values();
     const bool aChanged = problem.a.values() != current_.a.values();
 
-    if (config_.engine == SessionEngine::Device) {
-        if (qChanged)
-            device_->updateLinearCost(problem.q);
-        if (boundsChanged)
-            device_->updateBounds(problem.l, problem.u);
-        if (pChanged || aChanged)
-            device_->updateMatrixValues(
-                pChanged ? problem.pUpper.values() : Vector(),
-                aChanged ? problem.a.values() : Vector());
-    } else {
-        if (qChanged)
-            host_->updateLinearCost(problem.q);
-        if (boundsChanged)
-            host_->updateBounds(problem.l, problem.u);
-        if (pChanged || aChanged)
-            host_->updateMatrixValues(
-                pChanged ? problem.pUpper.values() : Vector(),
-                aChanged ? problem.a.values() : Vector());
-    }
+    if (qChanged)
+        engine_->updateLinearCost(problem.q);
+    if (boundsChanged)
+        engine_->updateBounds(problem.l, problem.u);
+    if (pChanged || aChanged)
+        engine_->updateMatrixValues(
+            pChanged ? problem.pUpper.values() : Vector(),
+            aChanged ? problem.a.values() : Vector());
 }
 
 SessionResult
@@ -131,7 +119,7 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
     ++stats_.solves;
 
     const auto setupStart = std::chrono::steady_clock::now();
-    if (haveSolver_ && sameStructure(problem)) {
+    if (engine_ != nullptr && sameStructure(problem)) {
         applyParametricUpdates(problem);
         result.parametricReuse = true;
         ++stats_.parametricSolves;
@@ -158,45 +146,28 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
     if (wantWarm && haveWarm_ &&
         lastX_.size() == static_cast<std::size_t>(n) &&
         lastY_.size() == static_cast<std::size_t>(m)) {
-        const bool applied =
-            config_.engine == SessionEngine::Device
-                ? device_->warmStart(lastX_, lastY_)
-                : host_->warmStart(lastX_, lastY_);
-        if (applied) {
+        if (engine_->warmStart(lastX_, lastY_)) {
             result.warmStarted = true;
             ++stats_.warmStarts;
         }
     }
 
     const auto solveStart = std::chrono::steady_clock::now();
-    if (config_.engine == SessionEngine::Device) {
-        RsqpResult run = device_->solve();
-        result.status = run.status;
-        result.x = std::move(run.x);
-        result.y = std::move(run.y);
-        result.z = std::move(run.z);
-        result.iterations = run.iterations;
-        result.objective = run.objective;
-        result.primRes = run.primRes;
-        result.dualRes = run.dualRes;
-        result.deviceSeconds = run.deviceSeconds;
-        result.telemetry = run.telemetry;
-    } else {
-        // The host engine enforces the deadline in-loop; each request
-        // re-arms the limit so budgets never leak across requests.
-        host_->setTimeLimit(time_budget > 0.0 ? time_budget
-                                              : config_.osqp.timeLimit);
-        OsqpResult run = host_->solve();
-        result.status = run.info.status;
-        result.x = std::move(run.x);
-        result.y = std::move(run.y);
-        result.z = std::move(run.z);
-        result.iterations = run.info.iterations;
-        result.objective = run.info.objective;
-        result.primRes = run.info.primRes;
-        result.dualRes = run.info.dualRes;
-        result.telemetry = run.info.telemetry;
-    }
+    // Each request re-arms the limit so budgets never leak across
+    // requests (see the file comment for who enforces it).
+    engine_->setTimeLimit(time_budget > 0.0 ? time_budget
+                                            : config_.osqp.timeLimit);
+    OsqpResult run = engine_->solve();
+    result.status = run.info.status;
+    result.x = std::move(run.x);
+    result.y = std::move(run.y);
+    result.z = std::move(run.z);
+    result.iterations = run.info.iterations;
+    result.objective = run.info.objective;
+    result.primRes = run.info.primRes;
+    result.dualRes = run.info.dualRes;
+    result.deviceSeconds = run.deviceSeconds;
+    result.telemetry = run.info.telemetry;
     result.solveSeconds = secondsSince(solveStart);
     stats_.solveSecondsTotal += result.solveSeconds;
     result.telemetry.route = route;
@@ -220,9 +191,7 @@ SolverSession::bindCache(std::shared_ptr<CustomizationCache> cache)
 void
 SolverSession::reset()
 {
-    device_.reset();
-    host_.reset();
-    haveSolver_ = false;
+    engine_.reset();
     haveWarm_ = false;
     lastX_.clear();
     lastY_.clear();

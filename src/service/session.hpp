@@ -13,6 +13,13 @@
  *  3. new structure, cache miss -> full customization, then freeze and
  *     publish the artifact for every other session.
  *
+ * Either engine sits behind one QpBackend: the simulated device
+ * (RsqpSolver, the only engine that consults the customization cache)
+ * or a host engine from makeBackend. Each request re-arms the engine's
+ * time limit; host engines enforce it in-loop, while the device's
+ * simulated run is not interruptible and its deadline is enforced at
+ * dispatch by the service.
+ *
  * Warm-start state (the previous solution) is carried across requests
  * and applied automatically when shapes match. Sessions are not
  * thread-safe: the service front-end serializes requests per session.
@@ -75,7 +82,7 @@ struct SessionResult
 
     double setupSeconds = 0.0;  ///< solver (re)build incl. customization
     double solveSeconds = 0.0;  ///< wall clock of the solve itself
-    Real deviceSeconds = 0.0;   ///< Device engine: simulated wall clock
+    Real deviceSeconds = 0.0;   ///< Device engine: modeled device time
     ValidationReport validation;  ///< filled when InvalidProblem
 
     /** Times this job was re-placed off a failed core before running
@@ -129,7 +136,7 @@ class SolverSession
      *        (0 = the config's timeLimit). Enforced in-loop by the
      *        Host engine; the Device engine's simulated run is not
      *        interruptible, so its deadline is enforced by the service
-     *        queue at admission time.
+     *        at dispatch.
      * @param cacheable Whether a structure change on this request may
      *        consult or publish the customization cache. Off, a
      *        rebuild customizes privately — for one-off structures
@@ -174,9 +181,7 @@ class SolverSession
     std::shared_ptr<CustomizationCache> cache_;
 
     QpProblem current_;  ///< the live problem (diff base), unscaled
-    bool haveSolver_ = false;
-    std::unique_ptr<RsqpSolver> device_;
-    std::unique_ptr<QpBackend> host_;
+    std::unique_ptr<QpBackend> engine_;  ///< live solver; null = none
 
     Vector lastX_, lastY_;  ///< warm-start state (unscaled)
     bool haveWarm_ = false;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-solve telemetry record: the compact, structured summary of one
- * solve that rides along on OsqpInfo / RsqpResult / SessionResult.
+ * solve that rides along on OsqpInfo and SessionResult.
  *
  * Unlike the registry (process-wide monotonic aggregates) and trace
  * spans (timeline), SolveTelemetry answers "what happened to *this*

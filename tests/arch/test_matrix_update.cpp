@@ -99,23 +99,23 @@ TEST(MatrixUpdate, RsqpSolverMatchesFreshSolver)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver solver(qp, settings, custom);
-    const RsqpResult first = solver.solve();
-    ASSERT_EQ(first.status, SolveStatus::Solved);
+    const OsqpResult first = solver.solve();
+    ASSERT_EQ(first.info.status, SolveStatus::Solved);
 
     // New A values (same pattern).
     std::vector<Real> a_values = qp.a.values();
     for (Real& v : a_values)
         v *= 0.7;
     solver.updateMatrixValues({}, a_values);
-    const RsqpResult updated = solver.solve();
-    ASSERT_EQ(updated.status, SolveStatus::Solved);
+    const OsqpResult updated = solver.solve();
+    ASSERT_EQ(updated.info.status, SolveStatus::Solved);
 
     QpProblem qp2 = qp;
     qp2.a.values() = a_values;
     OsqpSolver reference(qp2, settings);
     const OsqpResult ref = reference.solve();
     ASSERT_EQ(ref.info.status, SolveStatus::Solved);
-    EXPECT_NEAR(updated.objective, ref.info.objective,
+    EXPECT_NEAR(updated.info.objective, ref.info.objective,
                 2e-2 * (1.0 + std::abs(ref.info.objective)));
 }
 
@@ -133,14 +133,14 @@ TEST(MatrixUpdate, RsqpSolverPUpdateRebuildsPreconditionerData)
     for (Real& v : p_values)
         v *= 2.0;
     solver.updateMatrixValues(p_values, {});
-    const RsqpResult updated = solver.solve();
-    ASSERT_EQ(updated.status, SolveStatus::Solved);
+    const OsqpResult updated = solver.solve();
+    ASSERT_EQ(updated.info.status, SolveStatus::Solved);
 
     QpProblem qp2 = qp;
     qp2.pUpper.values() = p_values;
     OsqpSolver reference(qp2, settings);
     const OsqpResult ref = reference.solve();
-    EXPECT_NEAR(updated.objective, ref.info.objective,
+    EXPECT_NEAR(updated.info.objective, ref.info.objective,
                 2e-2 * (1.0 + std::abs(ref.info.objective)));
 }
 
@@ -152,10 +152,10 @@ TEST(MatrixUpdate, EmptyUpdateIsNoOp)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver solver(qp, settings, custom);
-    const RsqpResult first = solver.solve();
+    const OsqpResult first = solver.solve();
     solver.updateMatrixValues({}, {});
-    const RsqpResult second = solver.solve();
-    EXPECT_EQ(first.iterations, second.iterations);
+    const OsqpResult second = solver.solve();
+    EXPECT_EQ(first.info.iterations, second.info.iterations);
     EXPECT_LT(test::maxAbsDiff(first.x, second.x), 1e-12);
 }
 

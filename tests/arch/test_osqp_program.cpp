@@ -48,16 +48,16 @@ TEST(OsqpProgram, MatchesReferenceSolverTrajectory)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver device(qp, settings, custom);
-    const RsqpResult acc = device.solve();
+    const OsqpResult acc = device.solve();
 
     ASSERT_EQ(ref.info.status, SolveStatus::Solved);
-    ASSERT_EQ(acc.status, SolveStatus::Solved);
-    EXPECT_EQ(acc.iterations, ref.info.iterations);
+    ASSERT_EQ(acc.info.status, SolveStatus::Solved);
+    EXPECT_EQ(acc.info.iterations, ref.info.iterations);
     EXPECT_LT(test::maxAbsDiff(acc.x, ref.x), 1e-6);
     EXPECT_LT(test::maxAbsDiff(acc.y, ref.y), 1e-6);
     // PCG totals track within a small FP-rounding margin.
     const Real pcg_gap = std::abs(
-        static_cast<Real>(acc.pcgIterationsTotal) -
+        static_cast<Real>(acc.info.pcgIterationsTotal) -
         static_cast<Real>(ref.info.pcgIterationsTotal));
     EXPECT_LE(pcg_gap,
               0.05 * static_cast<Real>(ref.info.pcgIterationsTotal) + 5);
@@ -73,11 +73,11 @@ TEST(OsqpProgram, ResidualsMatchReference)
     CustomizeSettings custom;
     custom.c = 32;
     RsqpSolver device(qp, settings, custom);
-    const RsqpResult acc = device.solve();
-    ASSERT_EQ(acc.status, SolveStatus::Solved);
-    EXPECT_NEAR(acc.primRes, ref.info.primRes,
+    const OsqpResult acc = device.solve();
+    ASSERT_EQ(acc.info.status, SolveStatus::Solved);
+    EXPECT_NEAR(acc.info.primRes, ref.info.primRes,
                 1e-6 + 0.05 * ref.info.primRes);
-    EXPECT_NEAR(acc.dualRes, ref.info.dualRes,
+    EXPECT_NEAR(acc.info.dualRes, ref.info.dualRes,
                 1e-6 + 0.05 * ref.info.dualRes);
 }
 
@@ -91,17 +91,17 @@ TEST(OsqpProgram, BaselineAndCustomizedAgreeNumerically)
     baseline.customizeStructures = false;
     baseline.compressCvb = false;
     RsqpSolver base(qp, settings, baseline);
-    const RsqpResult rb = base.solve();
+    const OsqpResult rb = base.solve();
 
     CustomizeSettings customized;
     customized.c = 16;
     RsqpSolver custom(qp, settings, customized);
-    const RsqpResult rc = custom.solve();
+    const OsqpResult rc = custom.solve();
 
-    ASSERT_EQ(rb.status, SolveStatus::Solved);
-    ASSERT_EQ(rc.status, SolveStatus::Solved);
+    ASSERT_EQ(rb.info.status, SolveStatus::Solved);
+    ASSERT_EQ(rc.info.status, SolveStatus::Solved);
     // Same algorithm; the architecture only changes the timing.
-    EXPECT_EQ(rb.iterations, rc.iterations);
+    EXPECT_EQ(rb.info.iterations, rc.info.iterations);
     EXPECT_LT(test::maxAbsDiff(rb.x, rc.x), 1e-9);
     // ...and the customized one is faster in cycles.
     EXPECT_LT(rc.machineStats.totalCycles, rb.machineStats.totalCycles);
@@ -117,9 +117,9 @@ TEST(OsqpProgram, MaxIterStatusReported)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver device(qp, settings, custom);
-    const RsqpResult result = device.solve();
-    EXPECT_EQ(result.status, SolveStatus::MaxIterReached);
-    EXPECT_EQ(result.iterations, 25);
+    const OsqpResult result = device.solve();
+    EXPECT_EQ(result.info.status, SolveStatus::MaxIterReached);
+    EXPECT_EQ(result.info.iterations, 25);
 }
 
 TEST(OsqpProgram, RhoUpdatesHappenOnDevice)
@@ -134,9 +134,9 @@ TEST(OsqpProgram, RhoUpdatesHappenOnDevice)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver device(qp, settings, custom);
-    const RsqpResult acc = device.solve();
-    EXPECT_EQ(acc.rhoUpdates, ref.info.rhoUpdates);
-    EXPECT_EQ(acc.iterations, ref.info.iterations);
+    const OsqpResult acc = device.solve();
+    EXPECT_EQ(acc.info.rhoUpdates, ref.info.rhoUpdates);
+    EXPECT_EQ(acc.info.iterations, ref.info.iterations);
 }
 
 TEST(OsqpProgram, InstructionMixCoversTable1Classes)
@@ -145,7 +145,7 @@ TEST(OsqpProgram, InstructionMixCoversTable1Classes)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver device(qp, settingsFor(), custom);
-    const RsqpResult result = device.solve();
+    const OsqpResult result = device.solve();
     const MachineStats& stats = result.machineStats;
     for (InstrClass cls :
          {InstrClass::Control, InstrClass::Scalar,
@@ -176,8 +176,8 @@ TEST_P(DeviceEquivalence, SolutionMatchesReference)
     CustomizeSettings custom;
     custom.c = 32;
     RsqpSolver device(qp, settings, custom);
-    const RsqpResult acc = device.solve();
-    ASSERT_EQ(acc.status, SolveStatus::Solved) << toString(domain);
+    const OsqpResult acc = device.solve();
+    ASSERT_EQ(acc.info.status, SolveStatus::Solved) << toString(domain);
     const Real scale = 1.0 + normInf(ref.x);
     EXPECT_LT(test::maxAbsDiff(acc.x, ref.x), 1e-3 * scale)
         << toString(domain);

@@ -76,8 +76,11 @@ TEST(Backends, FactoryReturnsRequestedKind)
             EXPECT_EQ(backend->kind(),
                       kind == BackendKind::Auto ? c.pick : kind)
                 << "size " << c.size;
-            EXPECT_EQ(backend->numVariables(), qp.numVariables());
-            EXPECT_EQ(backend->numConstraints(), qp.numConstraints());
+            const OsqpResult result = backend->solve();
+            EXPECT_EQ(result.x.size(),
+                      static_cast<std::size_t>(qp.numVariables()));
+            EXPECT_EQ(result.y.size(),
+                      static_cast<std::size_t>(qp.numConstraints()));
         }
     }
 }

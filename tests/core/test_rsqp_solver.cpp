@@ -2,7 +2,8 @@
  * @file
  * End-to-end RsqpSolver tests: solution quality, customization
  * speedup in cycles (the Fig. 10 effect), parametric reuse and warm
- * starting on the generated architecture.
+ * starting on the generated architecture, and a threaded simulated
+ * machine (ArchConfig::numThreads) reproducing the serial one exactly.
  */
 
 #include <sys/resource.h>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rsqp_solver.hpp"
+#include "hwmodel/resources.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/solver.hpp"
 #include "problems/suite.hpp"
@@ -34,15 +36,32 @@ TEST(RsqpSolver, SolvesAndReportsMetadata)
     CustomizeSettings custom;
     custom.c = 32;
     RsqpSolver solver(qp, settingsFor(), custom);
-    const RsqpResult result = solver.solve();
-    ASSERT_EQ(result.status, SolveStatus::Solved);
-    EXPECT_GT(result.iterations, 0);
+    const OsqpResult result = solver.solve();
+    ASSERT_EQ(result.info.status, SolveStatus::Solved);
+    EXPECT_GT(result.info.iterations, 0);
     EXPECT_GT(result.machineStats.totalCycles, 0);
-    EXPECT_GT(result.fmaxMhz, 50.0);
+    EXPECT_GT(estimateFmaxMhz(solver.config()), 50.0);
     EXPECT_GT(result.deviceSeconds, 0.0);
     EXPECT_GT(result.eta, 0.0);
     EXPECT_LE(result.eta, 1.0);
-    EXPECT_NE(result.archName.find("32{"), std::string::npos);
+    EXPECT_NE(solver.config().name().find("32{"), std::string::npos);
+}
+
+TEST(RsqpSolver, SolveTimeIsHostWallClock)
+{
+    // Modeled device time lives only in deviceSeconds; the solve-time
+    // fields hold the host wall clock, as on the host engines. Direct
+    // use takes no service route.
+    const QpProblem qp = generateProblem(Domain::Control, 10, 3);
+    RsqpSolver solver(qp, settingsFor(), CustomizeSettings{});
+    const OsqpResult result = solver.solve();
+    ASSERT_EQ(result.info.status, SolveStatus::Solved);
+    EXPECT_GT(result.info.solveTime, 0.0);
+    EXPECT_EQ(result.info.telemetry.solveSeconds, result.info.solveTime);
+    EXPECT_GT(result.deviceSeconds, 0.0);
+    EXPECT_EQ(result.info.telemetry.route, SolveRoute::None);
+    EXPECT_EQ(solver.kind(), BackendKind::Admm);
+    EXPECT_EQ(result.info.telemetry.backend, solver.name());
 }
 
 TEST(RsqpSolver, SolutionIsKktOptimal)
@@ -51,8 +70,8 @@ TEST(RsqpSolver, SolutionIsKktOptimal)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver solver(qp, settingsFor(), custom);
-    const RsqpResult result = solver.solve();
-    ASSERT_EQ(result.status, SolveStatus::Solved);
+    const OsqpResult result = solver.solve();
+    ASSERT_EQ(result.info.status, SolveStatus::Solved);
 
     // Unscaled residuals must satisfy the default tolerances.
     Vector ax;
@@ -80,15 +99,15 @@ TEST(RsqpSolver, CustomizationSpeedsUpCycles)
     base_settings.customizeStructures = false;
     base_settings.compressCvb = false;
     RsqpSolver baseline(qp, settings, base_settings);
-    const RsqpResult rb = baseline.solve();
+    const OsqpResult rb = baseline.solve();
 
     CustomizeSettings custom_settings;
     custom_settings.c = 64;
     RsqpSolver customized(qp, settings, custom_settings);
-    const RsqpResult rc = customized.solve();
+    const OsqpResult rc = customized.solve();
 
-    ASSERT_EQ(rb.status, SolveStatus::Solved);
-    ASSERT_EQ(rc.status, SolveStatus::Solved);
+    ASSERT_EQ(rb.info.status, SolveStatus::Solved);
+    ASSERT_EQ(rc.info.status, SolveStatus::Solved);
     EXPECT_GT(rc.eta, rb.eta);
     // Customized architecture takes measurably fewer cycles.
     EXPECT_LT(static_cast<Real>(rc.machineStats.totalCycles),
@@ -101,26 +120,26 @@ TEST(RsqpSolver, ParametricCostUpdateReusesArchitecture)
     CustomizeSettings custom;
     custom.c = 16;
     RsqpSolver solver(qp, settingsFor(), custom);
-    const RsqpResult first = solver.solve();
-    ASSERT_EQ(first.status, SolveStatus::Solved);
+    const OsqpResult first = solver.solve();
+    ASSERT_EQ(first.info.status, SolveStatus::Solved);
 
     Vector q2 = qp.q;
     for (Real& v : q2)
         v *= 0.8;
     solver.updateLinearCost(q2);
     solver.warmStart(first.x, first.y);
-    const RsqpResult second = solver.solve();
-    ASSERT_EQ(second.status, SolveStatus::Solved);
+    const OsqpResult second = solver.solve();
+    ASSERT_EQ(second.info.status, SolveStatus::Solved);
 
     // Reference solution for the updated problem.
     QpProblem qp2 = qp;
     qp2.q = q2;
     OsqpSolver reference(qp2, settingsFor());
     const OsqpResult ref = reference.solve();
-    EXPECT_NEAR(second.objective, ref.info.objective,
+    EXPECT_NEAR(second.info.objective, ref.info.objective,
                 1e-2 * (1.0 + std::abs(ref.info.objective)));
     // Warm start converges in fewer iterations than cold start.
-    EXPECT_LE(second.iterations, first.iterations);
+    EXPECT_LE(second.info.iterations, first.info.iterations);
 }
 
 TEST(RsqpSolver, DefaultThreadCountSpendsNoSystemTime)
@@ -130,7 +149,7 @@ TEST(RsqpSolver, DefaultThreadCountSpendsNoSystemTime)
     // once per process, and a small SpMV never asks for it.
     const QpProblem qp = generateProblem(Domain::Control, 4, 1);
     RsqpSolver solver(qp, OsqpSettings{}, CustomizeSettings{});
-    ASSERT_EQ(solver.solve().status, SolveStatus::Solved);
+    ASSERT_EQ(solver.solve().info.status, SolveStatus::Solved);
 
     const auto seconds = [](const timeval& t) {
         return static_cast<double>(t.tv_sec) +
@@ -169,15 +188,15 @@ TEST(RsqpSolver, BoundsUpdateMatchesReference)
         if (u2[i] < kInf)
             u2[i] += 0.5;
     solver.updateBounds(l2, u2);
-    const RsqpResult updated = solver.solve();
-    ASSERT_EQ(updated.status, SolveStatus::Solved);
+    const OsqpResult updated = solver.solve();
+    ASSERT_EQ(updated.info.status, SolveStatus::Solved);
 
     QpProblem qp2 = qp;
     qp2.l = l2;
     qp2.u = u2;
     OsqpSolver reference(qp2, settingsFor());
     const OsqpResult ref = reference.solve();
-    EXPECT_NEAR(updated.objective, ref.info.objective,
+    EXPECT_NEAR(updated.info.objective, ref.info.objective,
                 1e-2 * (1.0 + std::abs(ref.info.objective)));
 }
 
@@ -214,18 +233,18 @@ TEST(RsqpSolver, Fp32DatapathSolvesAtDefaultTolerance)
     CustomizeSettings cfg64;
     cfg64.c = 32;
     RsqpSolver fp64(qp, settings, cfg64);
-    const RsqpResult r64 = fp64.solve();
+    const OsqpResult r64 = fp64.solve();
 
     CustomizeSettings cfg32;
     cfg32.c = 32;
     cfg32.fp32Datapath = true;
     RsqpSolver fp32(qp, settings, cfg32);
-    const RsqpResult r32 = fp32.solve();
+    const OsqpResult r32 = fp32.solve();
 
-    ASSERT_EQ(r64.status, SolveStatus::Solved);
-    ASSERT_EQ(r32.status, SolveStatus::Solved);
-    EXPECT_NEAR(r32.objective, r64.objective,
-                1e-2 * (1.0 + std::abs(r64.objective)));
+    ASSERT_EQ(r64.info.status, SolveStatus::Solved);
+    ASSERT_EQ(r32.info.status, SolveStatus::Solved);
+    EXPECT_NEAR(r32.info.objective, r64.info.objective,
+                1e-2 * (1.0 + std::abs(r64.info.objective)));
     EXPECT_LT(test::maxAbsDiff(r32.x, r64.x), 1e-2);
 }
 
@@ -256,12 +275,31 @@ TEST(RsqpSolverFaults, InjectedRunsTerminateTypedAndFinite)
             Domain::Portfolio, 40, 100 + static_cast<Index>(seed));
         RsqpSolver solver(qp, settingsFor(),
                           injectionCustom(seed, 1e-4));
-        const RsqpResult result = solver.solve();
-        EXPECT_NE(result.status, SolveStatus::Unsolved) << seed;
+        const OsqpResult result = solver.solve();
+        EXPECT_NE(result.info.status, SolveStatus::Unsolved) << seed;
         EXPECT_FALSE(hasNonFinite(result.x)) << seed;
         EXPECT_FALSE(hasNonFinite(result.y)) << seed;
         EXPECT_FALSE(hasNonFinite(result.z)) << seed;
-        EXPECT_GT(result.faultsInjected, 0) << seed;
+        EXPECT_GT(result.info.telemetry.faultsInjected, 0) << seed;
+    }
+}
+
+TEST(RsqpSolverFaults, ReSolveReportsItsOwnFaults)
+{
+    // The injector counts over the machine's lifetime; each result
+    // must report only the faults its own solve injected.
+    const QpProblem qp = generateProblem(Domain::Portfolio, 40, 103);
+    RsqpSolver solver(qp, settingsFor(), injectionCustom(3, 1e-4));
+    const FaultInjector* injector = solver.machine().faultInjector();
+    ASSERT_NE(injector, nullptr);
+    solver.solve();
+    for (int k = 0; k < 2; ++k) {
+        const Count before = injector->faultsInjected();
+        const OsqpResult result = solver.solve();
+        const Count after = injector->faultsInjected();
+        EXPECT_GT(after, before) << k;
+        EXPECT_EQ(result.info.telemetry.faultsInjected, after - before)
+            << k;
     }
 }
 
@@ -274,11 +312,12 @@ TEST(RsqpSolverFaults, InjectionIsDeterministicAcrossNumThreads)
         RsqpSolver solver(qp, settingsFor(), custom);
         return solver.solve();
     };
-    const RsqpResult serial = run(1);
+    const OsqpResult serial = run(1);
     for (Index threads : {2, 8}) {
-        const RsqpResult threaded = run(threads);
-        EXPECT_EQ(threaded.status, serial.status) << threads;
-        EXPECT_EQ(threaded.faultsInjected, serial.faultsInjected)
+        const OsqpResult threaded = run(threads);
+        EXPECT_EQ(threaded.info.status, serial.info.status) << threads;
+        EXPECT_EQ(threaded.info.telemetry.faultsInjected,
+                  serial.info.telemetry.faultsInjected)
             << threads;
         ASSERT_EQ(threaded.x, serial.x) << threads;
         ASSERT_EQ(threaded.y, serial.y) << threads;
@@ -298,8 +337,8 @@ TEST(RsqpSolver, WarmStartSizeMismatchIsNonFatal)
     Vector x(static_cast<std::size_t>(qp.numVariables()), 0.0);
     EXPECT_TRUE(solver.warmStart(x, y));
 
-    const RsqpResult result = solver.solve();
-    EXPECT_EQ(result.status, SolveStatus::Solved);
+    const OsqpResult result = solver.solve();
+    EXPECT_EQ(result.info.status, SolveStatus::Solved);
 }
 
 TEST(RsqpSolverFaults, DisabledInjectionMatchesBaselineBitwise)
@@ -308,20 +347,45 @@ TEST(RsqpSolverFaults, DisabledInjectionMatchesBaselineBitwise)
     CustomizeSettings plain;
     plain.c = 16;
     RsqpSolver base(qp, settingsFor(), plain);
-    const RsqpResult a = base.solve();
+    const OsqpResult a = base.solve();
 
     CustomizeSettings off;
     off.c = 16;
     off.faultInjection.enabled = false;
     off.faultInjection.seed = 99;  // ignored while disabled
     RsqpSolver guarded(qp, settingsFor(), off);
-    const RsqpResult b = guarded.solve();
+    const OsqpResult b = guarded.solve();
 
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(b.faultsInjected, 0);
+    EXPECT_EQ(a.info.status, b.info.status);
+    EXPECT_EQ(a.info.iterations, b.info.iterations);
+    EXPECT_EQ(b.info.telemetry.faultsInjected, 0);
     ASSERT_EQ(a.x, b.x);
     ASSERT_EQ(a.y, b.y);
+}
+
+TEST(ThreadedMachine, SolveDeterministicAcrossNumThreads)
+{
+    const QpProblem qp = generateProblem(Domain::Portfolio, 40, 27);
+
+    auto run = [&](Index threads) {
+        CustomizeSettings custom;
+        custom.c = 32;
+        custom.execution.numThreads = threads;
+        RsqpSolver solver(qp, settingsFor(), custom);
+        return solver.solve();
+    };
+
+    const OsqpResult serial = run(1);
+    ASSERT_EQ(serial.info.status, SolveStatus::Solved);
+    for (Index threads : {2, 8}) {
+        const OsqpResult threaded = run(threads);
+        EXPECT_EQ(threaded.info.iterations, serial.info.iterations);
+        EXPECT_EQ(threaded.machineStats.totalCycles,
+                  serial.machineStats.totalCycles);
+        ASSERT_EQ(threaded.x, serial.x) << "threads " << threads;
+        ASSERT_EQ(threaded.y, serial.y);
+        ASSERT_EQ(threaded.z, serial.z);
+    }
 }
 
 } // namespace

@@ -34,15 +34,15 @@ TEST(EndToEnd, ThreeBackendsAgreeOnSolution)
     CustomizeSettings custom;
     custom.c = 64;
     RsqpSolver device(qp, indirect_settings, custom);
-    const RsqpResult ra = device.solve();
+    const OsqpResult ra = device.solve();
 
     ASSERT_EQ(rd.info.status, SolveStatus::Solved);
     ASSERT_EQ(ri.info.status, SolveStatus::Solved);
-    ASSERT_EQ(ra.status, SolveStatus::Solved);
+    ASSERT_EQ(ra.info.status, SolveStatus::Solved);
 
     const Real scale = 1.0 + std::abs(rd.info.objective);
     EXPECT_NEAR(rd.info.objective, ri.info.objective, 2e-2 * scale);
-    EXPECT_NEAR(rd.info.objective, ra.objective, 2e-2 * scale);
+    EXPECT_NEAR(rd.info.objective, ra.info.objective, 2e-2 * scale);
 }
 
 TEST(EndToEnd, KktSolveDominatesCpuTime)
@@ -73,15 +73,15 @@ TEST(EndToEnd, CustomizationSpeedupWithinPaperBand)
     base_cfg.customizeStructures = false;
     base_cfg.compressCvb = false;
     RsqpSolver baseline(qp, settings, base_cfg);
-    const RsqpResult rb = baseline.solve();
+    const OsqpResult rb = baseline.solve();
 
     CustomizeSettings custom_cfg;
     custom_cfg.c = 64;
     RsqpSolver customized(qp, settings, custom_cfg);
-    const RsqpResult rc = customized.solve();
+    const OsqpResult rc = customized.solve();
 
-    ASSERT_EQ(rb.status, SolveStatus::Solved);
-    ASSERT_EQ(rc.status, SolveStatus::Solved);
+    ASSERT_EQ(rb.info.status, SolveStatus::Solved);
+    ASSERT_EQ(rc.info.status, SolveStatus::Solved);
     const Real speedup = rb.deviceSeconds / rc.deviceSeconds;
     EXPECT_GT(speedup, 1.2);
     EXPECT_LT(speedup, 20.0);
@@ -118,8 +118,8 @@ TEST(EndToEnd, FpgaPowerEfficiencyBeatsGpu)
     CustomizeSettings custom;
     custom.c = 64;
     RsqpSolver device(qp, settings, custom);
-    const RsqpResult acc = device.solve();
-    ASSERT_EQ(acc.status, SolveStatus::Solved);
+    const OsqpResult acc = device.solve();
+    ASSERT_EQ(acc.info.status, SolveStatus::Solved);
 
     const GpuSolveEstimate gpu =
         estimateGpuSolve(qp, cpu_result.info, settings);
@@ -141,8 +141,8 @@ TEST(EndToEnd, MpcReceedingHorizonLoop)
     custom.c = 16;
     RsqpSolver solver(qp, settings, custom);
 
-    RsqpResult result = solver.solve();
-    ASSERT_EQ(result.status, SolveStatus::Solved);
+    OsqpResult result = solver.solve();
+    ASSERT_EQ(result.info.status, SolveStatus::Solved);
     Count total_cycles = result.machineStats.totalCycles;
     for (int step = 0; step < 3; ++step) {
         // Perturb the linear cost (tracking target changes).
@@ -152,7 +152,7 @@ TEST(EndToEnd, MpcReceedingHorizonLoop)
         solver.updateLinearCost(q);
         solver.warmStart(result.x, result.y);
         result = solver.solve();
-        ASSERT_EQ(result.status, SolveStatus::Solved);
+        ASSERT_EQ(result.info.status, SolveStatus::Solved);
         // Warm-started re-solves are cheaper than the cold solve.
         EXPECT_LE(result.machineStats.totalCycles, total_cycles);
     }

@@ -108,9 +108,9 @@ TEST_P(BackendFuzz, BackendsAgreeWhenSolved)
         CustomizeSettings custom;
         custom.c = 16;
         RsqpSolver device(qp, settings, custom);
-        const RsqpResult ra = device.solve();
-        EXPECT_EQ(ra.status, SolveStatus::Solved);
-        EXPECT_NEAR(ra.objective, ri.info.objective, 5e-2 * scale);
+        const OsqpResult ra = device.solve();
+        EXPECT_EQ(ra.info.status, SolveStatus::Solved);
+        EXPECT_NEAR(ra.info.objective, ri.info.objective, 5e-2 * scale);
 
         // KKT check of the accelerated solution.
         const ResidualInfo res = computeResiduals(
@@ -168,8 +168,8 @@ expectRejected(const QpProblem& qp, ValidationCode code)
     custom.c = 16;
     RsqpSolver device(qp, OsqpSettings{}, custom);
     EXPECT_FALSE(device.validation().ok());
-    const RsqpResult ra = device.solve();
-    EXPECT_EQ(ra.status, SolveStatus::InvalidProblem);
+    const OsqpResult ra = device.solve();
+    EXPECT_EQ(ra.info.status, SolveStatus::InvalidProblem);
     EXPECT_TRUE(ra.validation.has(code)) << ra.validation.describe();
 }
 

@@ -184,12 +184,12 @@ TEST(CustomizationCache, SolverReportsArtifactReuse)
     RsqpSolver warm(qp, settings, custom, artifact);
     EXPECT_TRUE(warm.customizationReused());
 
-    const RsqpResult a = cold.solve();
-    const RsqpResult b = warm.solve();
-    ASSERT_EQ(a.status, b.status);
+    const OsqpResult a = cold.solve();
+    const OsqpResult b = warm.solve();
+    ASSERT_EQ(a.info.status, b.info.status);
     EXPECT_EQ(a.x, b.x);
     EXPECT_EQ(a.y, b.y);
-    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.info.iterations, b.info.iterations);
     EXPECT_EQ(a.machineStats.totalCycles, b.machineStats.totalCycles);
 }
 

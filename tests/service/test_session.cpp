@@ -108,12 +108,12 @@ TEST(SolverSession, CacheHitSolveIsBitwiseEqualToColdSolve)
 
     RsqpSolver cold(probe, config.osqp, config.custom);
     ASSERT_FALSE(cold.customizationReused());
-    const RsqpResult reference = cold.solve();
-    ASSERT_EQ(reference.status, viaCache.status);
+    const OsqpResult reference = cold.solve();
+    ASSERT_EQ(reference.info.status, viaCache.status);
     EXPECT_EQ(reference.x, viaCache.x);
     EXPECT_EQ(reference.y, viaCache.y);
     EXPECT_EQ(reference.z, viaCache.z);
-    EXPECT_EQ(reference.iterations, viaCache.iterations);
+    EXPECT_EQ(reference.info.iterations, viaCache.iterations);
 }
 
 TEST(SolverSession, StructureChangeRebuildsAndDropsWarmState)
@@ -194,17 +194,15 @@ TEST(SolverSession, HostEngineSolvesAndTakesParametricPath)
 }
 
 /**
- * Host session on `method` at control size `size`: a value-only
+ * Session under `config` at control size `size`: a value-only
  * q/bounds request takes the parametric route and lands bitwise on
- * what a standalone makeBackend engine reaches with the same updates
- * and warm start; telemetry names that engine.
+ * what a standalone engine (RsqpSolver for Device, makeBackend for
+ * Host) reaches with the same updates and warm start; telemetry names
+ * that engine.
  */
 void
-expectHostParametricMatchesStandalone(BackendKind method, Index size)
+expectParametricMatchesStandalone(const SessionConfig& config, Index size)
 {
-    SessionConfig config;
-    config.engine = SessionEngine::Host;
-    config.osqp.firstOrder.method = method;
     SolverSession session(config, nullptr);
 
     const QpProblem qp = generateProblem(Domain::Control, size, 5);
@@ -213,10 +211,18 @@ expectHostParametricMatchesStandalone(BackendKind method, Index size)
         for (Real& v : *bound)
             if (std::abs(v) < kInf)
                 v *= 1.05;
-    const BackendKind engine_kind =
-        method == BackendKind::Auto ? chooseBackend(qp) : method;
 
-    std::unique_ptr<QpBackend> engine = makeBackend(qp, config.osqp);
+    std::unique_ptr<QpBackend> engine;
+    BackendKind engine_kind = config.osqp.firstOrder.method;
+    if (config.engine == SessionEngine::Device) {
+        engine = std::make_unique<RsqpSolver>(qp, config.osqp,
+                                              config.custom);
+        engine_kind = BackendKind::Admm;
+    } else {
+        engine = makeBackend(qp, config.osqp);
+        if (engine_kind == BackendKind::Auto)
+            engine_kind = chooseBackend(qp);
+    }
     ASSERT_EQ(engine->kind(), engine_kind);
     const OsqpResult first = engine->solve();
     engine->updateLinearCost(next.q);
@@ -232,6 +238,7 @@ expectHostParametricMatchesStandalone(BackendKind method, Index size)
     EXPECT_EQ(got.telemetry.backend, backendKindName(engine_kind));
     ASSERT_EQ(got.status, expect.info.status);
     EXPECT_EQ(got.iterations, expect.info.iterations);
+    EXPECT_EQ(got.deviceSeconds, expect.deviceSeconds);
     ASSERT_EQ(got.x.size(), expect.x.size());
     ASSERT_EQ(got.y.size(), expect.y.size());
     for (std::size_t i = 0; i < expect.x.size(); ++i)
@@ -240,11 +247,29 @@ expectHostParametricMatchesStandalone(BackendKind method, Index size)
         ASSERT_EQ(got.y[i], expect.y[i]) << "y[" << i << "]";
 }
 
+SessionConfig
+hostConfig(BackendKind method)
+{
+    SessionConfig config;
+    config.engine = SessionEngine::Host;
+    config.osqp.firstOrder.method = method;
+    return config;
+}
+
+TEST(SolverSession, DeviceParametricMatchesStandaloneEngine)
+{
+    for (Index size : {4, 20}) {
+        SCOPED_TRACE(size);
+        expectParametricMatchesStandalone(deviceConfig(), size);
+    }
+}
+
 TEST(SolverSession, HostPdhgParametricMatchesStandaloneEngine)
 {
     for (Index size : {4, 40}) {
         SCOPED_TRACE(size);
-        expectHostParametricMatchesStandalone(BackendKind::Pdhg, size);
+        expectParametricMatchesStandalone(hostConfig(BackendKind::Pdhg),
+                                          size);
     }
 }
 
@@ -258,7 +283,8 @@ TEST(SolverSession, HostAutoParametricMatchesSelectedEngine)
               BackendKind::Pdhg);
     for (Index size : {4, 40}) {
         SCOPED_TRACE(size);
-        expectHostParametricMatchesStandalone(BackendKind::Auto, size);
+        expectParametricMatchesStandalone(hostConfig(BackendKind::Auto),
+                                          size);
     }
 }
 
