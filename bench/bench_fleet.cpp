@@ -199,7 +199,6 @@ main(int argc, char** argv)
         // concurrency, not from intra-solve threading.
         serviceConfig.execution.numThreads = 1;
         serviceConfig.fleet.coreCount = coreCount;
-        serviceConfig.fleet.policy = PlacementPolicy::Affinity;
         serviceConfig.fleet.slotsPerCore = 1;  // one device per core
         serviceConfig.fleet.affinityQueueBound = 2;
         SolverService service(serviceConfig);

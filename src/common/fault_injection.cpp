@@ -89,90 +89,6 @@ FaultInjector::resetCounters()
     nans_.store(0);
 }
 
-const char*
-toString(FleetFaultKind kind)
-{
-    switch (kind) {
-      case FleetFaultKind::KillCore: return "kill";
-      case FleetFaultKind::HangCore: return "hang";
-      case FleetFaultKind::DegradeCore: return "degrade";
-    }
-    return "unknown";
-}
-
-FleetFaultInjector::FleetFaultInjector(
-    std::vector<FleetFaultEvent> schedule)
-{
-    schedule_.reserve(schedule.size());
-    for (FleetFaultEvent& event : schedule)
-        schedule_.push_back({event, false});
-}
-
-std::vector<FleetFaultEvent>
-FleetFaultInjector::standardSchedule(std::uint64_t seed,
-                                     Count horizon_jobs)
-{
-    // Trigger points in the middle half of the horizon: early enough
-    // to fire on any reasonable workload, late enough that the fleet
-    // has warm traffic to fail over.
-    const Count span = horizon_jobs > 4 ? horizon_jobs / 2 : 1;
-    const Count base = horizon_jobs > 4 ? horizon_jobs / 4 : 1;
-
-    FleetFaultEvent kill;
-    kill.kind = FleetFaultKind::KillCore;
-    kill.core = kAnyCore;
-    kill.atFleetJob = base + static_cast<Count>(mix64(seed) % span);
-    kill.failProbes = 1;  // one failed probe: the backoff must double
-
-    FleetFaultEvent hang;
-    hang.kind = FleetFaultKind::HangCore;
-    hang.core = kAnyCore;
-    hang.atFleetJob =
-        base + static_cast<Count>(mix64(seed ^ 0x68616e67ULL) % span);
-    // A hang scheduled on the same start index as the kill would fire
-    // on the kill's failover job; keep the two events apart.
-    if (hang.atFleetJob == kill.atFleetJob)
-        ++hang.atFleetJob;
-
-    return {kill, hang};
-}
-
-const FleetFaultEvent*
-FleetFaultInjector::onJobStart(std::size_t core,
-                               Count core_jobs_started,
-                               Count fleet_jobs_started)
-{
-    for (Scheduled& entry : schedule_) {
-        if (entry.delivered)
-            continue;
-        const FleetFaultEvent& event = entry.event;
-        const bool due =
-            event.core == kAnyCore
-                ? fleet_jobs_started >= event.atFleetJob
-                : (event.core == core &&
-                   core_jobs_started >= event.atCoreJob);
-        if (!due)
-            continue;
-        entry.delivered = true;
-        probeGates_[core] = event.failProbes;
-        switch (event.kind) {
-          case FleetFaultKind::KillCore: ++kills_; break;
-          case FleetFaultKind::HangCore: ++hangs_; break;
-          case FleetFaultKind::DegradeCore: ++degrades_; break;
-        }
-        return &entry.event;
-    }
-    return nullptr;
-}
-
-bool
-FleetFaultInjector::probeSucceeds(std::size_t core,
-                                  Count probe_index) const
-{
-    const auto it = probeGates_.find(core);
-    return it == probeGates_.end() || probe_index >= it->second;
-}
-
 FaultScope::FaultScope(FaultInjector* injector)
     : prev_(tActiveInjector)
 {

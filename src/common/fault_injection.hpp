@@ -21,8 +21,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -45,8 +43,9 @@ struct FaultInjectionConfig
 /**
  * Seeded fault injector. Cheap to query: one 64-bit hash per word.
  *
- * Counters are atomic so concurrent victims (e.g. batch solves each
- * owning an injector, or future parallel hooks) stay well-defined.
+ * Every hook site runs on the solve's dispatch thread; the counters
+ * are atomic so that a hook inside a parallel region would stay
+ * well-defined too.
  */
 class FaultInjector
 {
@@ -129,119 +128,6 @@ class FaultScope
 
 /** The calling thread's active injector (nullptr if none). */
 FaultInjector* activeFaultInjector();
-
-// --- Fleet-level (whole-core) fault injection ------------------------
-
-/** What happens to a solver core when a fleet fault fires. */
-enum class FleetFaultKind
-{
-    KillCore,    ///< core dies mid-stream; in-flight work is lost
-    HangCore,    ///< core stalls until the stall watchdog fires
-    DegradeCore, ///< core keeps answering, but modeled time inflates
-};
-
-/** Printable kind name ("kill", "hang", "degrade"). */
-const char* toString(FleetFaultKind kind);
-
-/** Special core index: "whichever core starts the matching job". */
-inline constexpr std::size_t kAnyCore = ~static_cast<std::size_t>(0);
-
-/**
- * One scheduled fleet fault. Triggers are expressed in *job starts*
- * (deterministic under a fixed submission order), not wall time, so a
- * chaos run replays identically on any host:
- *
- *  - core == kAnyCore: fires on the first job start once the
- *    fleet-wide start counter reaches `atFleetJob` (guaranteed to hit
- *    as long as the workload is long enough — a quarantined core
- *    never starts jobs, so a later event lands on a surviving core);
- *  - core == i: fires on core i's own `atCoreJob`-th start (targeted
- *    tests that want to kill a specific affinity core).
- */
-struct FleetFaultEvent
-{
-    FleetFaultKind kind = FleetFaultKind::KillCore;
-    std::size_t core = kAnyCore;
-    Count atFleetJob = 0; ///< fleet-wide start threshold (kAnyCore)
-    Count atCoreJob = 0;  ///< per-core start threshold (targeted core)
-    /** DegradeCore: modeled-time multiplier for the affected jobs. */
-    Real slowdownFactor = 4.0;
-    /** DegradeCore: number of consecutive jobs slowed. */
-    Count durationJobs = 1;
-    /** Readmission probes that fail before the core heals. */
-    Count failProbes = 0;
-};
-
-/**
- * Seeded whole-core fault injector for the solver fleet: a determinis-
- * tic schedule of kill/hang/degrade events plus the oracle readmission
- * probes consult. Each event fires at most once. All methods are
- * called under the owning service's lock — one injector per service;
- * never share an instance between concurrently running fleets.
- */
-class FleetFaultInjector
-{
-  public:
-    /** Empty schedule: never faults (health tracking still runs). */
-    FleetFaultInjector() = default;
-
-    explicit FleetFaultInjector(std::vector<FleetFaultEvent> schedule);
-
-    /**
-     * The canonical chaos schedule used by bench_chaos and the
-     * chaos-smoke CI gate: one KillCore and one HangCore event (each
-     * kAnyCore, so both are guaranteed to land on live cores), with
-     * seeded trigger points inside [1, horizon_jobs) and one failed
-     * readmission probe on the kill to exercise the backoff ladder.
-     */
-    static std::vector<FleetFaultEvent>
-    standardSchedule(std::uint64_t seed, Count horizon_jobs);
-
-    bool enabled() const { return !schedule_.empty(); }
-    std::vector<FleetFaultEvent> schedule() const
-    {
-        std::vector<FleetFaultEvent> events;
-        events.reserve(schedule_.size());
-        for (const Scheduled& entry : schedule_)
-            events.push_back(entry.event);
-        return events;
-    }
-
-    /**
-     * The fault (if any) firing as `core` starts a job, given its own
-     * start count and the fleet-wide start count (both *before* this
-     * job). Marks the event delivered and remembers it as the core's
-     * latest fault so probeSucceeds can consult its failProbes.
-     */
-    const FleetFaultEvent* onJobStart(std::size_t core,
-                                      Count core_jobs_started,
-                                      Count fleet_jobs_started);
-
-    /**
-     * Whether readmission probe number `probe_index` (0-based within
-     * the current quarantine) of `core` finds the core healthy again.
-     * Cores with no recorded fault always probe healthy.
-     */
-    bool probeSucceeds(std::size_t core, Count probe_index) const;
-
-    Count killsDelivered() const { return kills_; }
-    Count hangsDelivered() const { return hangs_; }
-    Count degradesDelivered() const { return degrades_; }
-
-  private:
-    struct Scheduled
-    {
-        FleetFaultEvent event;
-        bool delivered = false;
-    };
-
-    std::vector<Scheduled> schedule_;
-    /** core -> failProbes of the latest fault delivered to it. */
-    std::unordered_map<std::size_t, Count> probeGates_;
-    Count kills_ = 0;
-    Count hangs_ = 0;
-    Count degrades_ = 0;
-};
 
 /**
  * Stream tags naming each injection site. Distinct tags decorrelate

@@ -24,7 +24,7 @@
  * The fleet is a passive component: every method must be called under
  * the owning SolverService's lock. Execution still happens on the
  * shared thread pool; cores model placement and occupancy, not
- * threads.
+ * threads. As in the paper's deployment, cores do not fail.
  */
 
 #ifndef RSQP_SERVICE_FLEET_FLEET_HPP
@@ -33,14 +33,11 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "common/fault_injection.hpp"
 #include "common/timer.hpp"
 #include "service/admission.hpp"
 #include "service/customization_cache.hpp"
-#include "service/fleet/health.hpp"
 #include "service/fleet/placement.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -66,8 +63,6 @@ struct FleetConfig
 {
     /** Simulated solver cores (>= 1). */
     unsigned coreCount = 1;
-    /** How ready sessions are routed onto cores. */
-    PlacementPolicy policy = PlacementPolicy::Affinity;
     /**
      * Concurrent instruction streams per core. 0 = auto: with one
      * core, the service's legacy maxConcurrency (exact pre-fleet
@@ -84,32 +79,6 @@ struct FleetConfig
     /** Per-core cache partition capacity (0 = the service's
      *  cacheCapacity in every partition). */
     std::size_t cacheCapacityPerCore = 0;
-    /** Health-model knobs: stall watchdog, breaker, probe backoff. */
-    FaultDomainConfig faultDomain;
-    /**
-     * Whole-core fault schedule (chaos tests / bench_chaos). Null =
-     * no injected faults; the health model still tracks state. The
-     * injector is consulted only under the service lock — give every
-     * concurrently running service its own instance.
-     */
-    std::shared_ptr<FleetFaultInjector> faultInjector;
-};
-
-/** What the fault domain decided as a job was about to start. */
-struct FleetFaultAction
-{
-    enum class Kind
-    {
-        None,       ///< run the job normally
-        Degrade,    ///< run it, but inflate its modeled device time
-        FailStream, ///< core failed: fail over the rest of the stream
-    };
-    Kind kind = Kind::None;
-    /** FailStream: the core hung and the stall watchdog fired; the
-     *  watchdog charge applies to every failed-over job's budget. */
-    bool hang = false;
-    /** Degrade: modeled-device-time multiplier. */
-    Real slowdown = 1.0;
 };
 
 /** Point-in-time counters of one solver core. */
@@ -128,28 +97,12 @@ struct CoreStats
     std::size_t readySessions = 0;   ///< placed, waiting for a slot
     unsigned runningStreams = 0;
     CustomizationCacheStats cache;   ///< this core's partition
-
-    CoreHealth health = CoreHealth::Healthy;
-    Count faults = 0;         ///< injected faults delivered here
-    Count quarantines = 0;    ///< times this core was fenced off
-    Count probes = 0;         ///< readmission probes attempted
-    Count readmissions = 0;   ///< probes that succeeded
-    Count failedOverJobs = 0; ///< jobs this core lost to failover
-    Count degradedJobs = 0;   ///< jobs run at an inflated device time
 };
 
 /** Fleet-wide snapshot: one entry per core. */
 struct FleetStats
 {
     double wallSeconds = 0.0;    ///< since fleet construction
-    /** Virtual clock: accumulated modeled device-seconds plus
-     *  stall-watchdog charges. Drives probe backoff; deterministic. */
-    double virtualSeconds = 0.0;
-    Count failovers = 0;         ///< jobs re-placed off failed cores
-    Count quarantines = 0;
-    Count readmissions = 0;
-    Count probes = 0;
-    Count partitionInvalidations = 0;
     std::vector<CoreStats> cores;
 };
 
@@ -185,41 +138,19 @@ class SolverFleet
     }
 
     /** Route a ready session by its head job's fingerprint. */
-    std::size_t placeSession(const StructureFingerprint& fp);
+    std::size_t placeSession(const StructureFingerprint& fp) const;
 
     /** Append a placed session to its core's ready queue, under the
      *  head job's admission class. */
     void enqueueReady(std::size_t core, SessionId id,
                       AdmissionClass cls, bool small_job);
 
+    /** A free run slot — the service's dispatch gate. */
     bool
     hasCapacity(std::size_t core) const
     {
         return cores_[core].running < slots_;
     }
-
-    /** Free slot *and* not quarantined — the pump's dispatch gate. */
-    bool
-    canDispatch(std::size_t core) const
-    {
-        return hasCapacity(core) && dispatchable(core);
-    }
-
-    /** Health gate only (any state but Quarantined). */
-    bool
-    dispatchable(std::size_t core) const
-    {
-        return cores_[core].health.dispatchable();
-    }
-
-    CoreHealth
-    coreHealth(std::size_t core) const
-    {
-        return cores_[core].health.health();
-    }
-
-    /** Cores currently allowed to take work. */
-    std::size_t availableCoreCount() const;
 
     std::size_t readyDepth(std::size_t core) const;
 
@@ -240,71 +171,9 @@ class SolverFleet
     /** A stream of `jobs` jobs took a run slot on `core`. */
     void onStreamLaunched(std::size_t core, std::size_t jobs);
 
-    /**
-     * Consult the fault domain as a job is about to start on `core`.
-     * Counts the start, delivers any scheduled fault, and drives the
-     * health machine: a kill/hang (or a breaker trip) quarantines the
-     * core — its cache partition is invalidated and the first
-     * readmission probe is armed — and returns FailStream, telling the
-     * caller to fail the stream's remaining jobs over instead of
-     * running them. A hang additionally advances the virtual clock by
-     * the stall-watchdog charge.
-     */
-    FleetFaultAction onJobStarting(std::size_t core);
-
-    /**
-     * One job of a stream on `core` ran to a status, occupying the
-     * simulated device for `device_seconds` of modeled time (already
-     * inflated if the job ran degraded). Advances the virtual clock;
-     * a clean (non-degraded) job also feeds the health machine's
-     * recovery count.
-     */
-    void onJobExecuted(std::size_t core, bool interleaved,
-                       double device_seconds, bool degraded = false);
-
-    /**
-     * Take the whole ready queue of a (newly quarantined) core, in
-     * class-priority order. The service re-places each entry; none may
-     * stay parked on a fenced core or it could wait out the entire
-     * quarantine.
-     */
-    std::vector<ReadyEntry> drainReady(std::size_t core);
-
-    /** `jobs` jobs were pulled off `core` by a failover. */
-    void recordFailover(std::size_t core, Count jobs);
-
-    /**
-     * Attempt the readmission probe of every quarantined core whose
-     * backoff has elapsed on the virtual clock. Probe outcomes come
-     * from the fault injector (no injector: probes always succeed).
-     * Returns the number of cores readmitted.
-     */
-    std::size_t runReadmissionProbes();
-
-    /**
-     * Jump the virtual clock to the earliest pending probe deadline —
-     * the escape hatch when every core is quarantined and nothing is
-     * running, so no device time would otherwise accrue. Returns false
-     * if no core is quarantined.
-     */
-    bool advanceVirtualToNextProbe();
-
-    double virtualNow() const { return virtualNow_; }
-
-    /** Virtual seconds until the earliest pending readmission probe
-     *  (0 when none is pending or one is already due). */
-    double secondsToNextProbe() const;
-
-    /** Stall charge per hung stream (config passthrough). */
-    double
-    stallWatchdogSeconds() const
-    {
-        return config_.faultDomain.stallWatchdogSeconds;
-    }
-
-    /** Mean modeled device time per executed job (0 before the first
-     *  job) — the service's retry-after estimator. */
-    double averageJobDeviceSeconds() const;
+    /** One job of a stream on `core` ran to a status, occupying the
+     *  simulated device for `device_seconds` of modeled time. */
+    void onJobExecuted(std::size_t core, double device_seconds);
 
     /** The stream released its slot after `busy_seconds` of wall time. */
     void onStreamFinished(std::size_t core, double busy_seconds);
@@ -333,35 +202,17 @@ class SolverFleet
         double deviceSeconds = 0.0;
         std::shared_ptr<CustomizationCache> cache;
 
-        CoreHealthMachine health;
-        Count jobsStarted = 0;    ///< fault-injection sequence number
-        Count faults = 0;         ///< injected faults delivered here
-        Count failedOverJobs = 0; ///< jobs lost to failover
-        Count degradedJobs = 0;
-        Count degradeJobsLeft = 0; ///< remaining slowed jobs
-        Real slowdown = 1.0;       ///< while degradeJobsLeft > 0
-
         telemetry::Counter* jobsTotal = nullptr;
         telemetry::Counter* streamsTotal = nullptr;
         telemetry::Counter* interleavedTotal = nullptr;
         telemetry::Counter* busyNsTotal = nullptr;
-        telemetry::Counter* faultsTotal = nullptr;
         telemetry::Gauge* queueDepth = nullptr;
         telemetry::Gauge* utilization = nullptr;
         telemetry::Gauge* cacheHits = nullptr;
-        telemetry::Gauge* stateGauge = nullptr;
     };
 
     std::vector<CoreLoad> loads() const;
 
-    /** Fence `core` off: clear its cache partition (stale artifacts
-     *  must not survive a failed core), count, update the gauge. The
-     *  health machine is already Quarantined when this runs. */
-    void quarantineSideEffects(std::size_t core);
-
-    void syncStateGauge(std::size_t core) const;
-
-    FleetConfig config_;
     unsigned slots_;
     unsigned interleave_;
     /** Dispatch weight per admission class (>= 1 each). */
@@ -369,18 +220,6 @@ class SolverFleet
     PlacementScheduler scheduler_;
     std::vector<Core> cores_;
     Timer wall_; ///< utilization denominator
-
-    Real virtualNow_ = 0.0;   ///< see FleetStats::virtualSeconds
-    Count fleetJobsStarted_ = 0;
-    Count jobsExecuted_ = 0;
-    Count failovers_ = 0;
-    Count partitionInvalidations_ = 0;
-
-    telemetry::Counter* failoversTotal_ = nullptr;
-    telemetry::Counter* quarantinesTotal_ = nullptr;
-    telemetry::Counter* readmissionsTotal_ = nullptr;
-    telemetry::Counter* probesTotal_ = nullptr;
-    telemetry::Counter* invalidationsTotal_ = nullptr;
 };
 
 } // namespace rsqp

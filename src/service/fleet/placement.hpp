@@ -5,7 +5,7 @@
  *
  * The real deployment packs 16-56 solver cores per FPGA; which core a
  * job lands on decides whether the per-structure customization
- * artifact is already resident. The Affinity policy therefore maps a
+ * artifact is already resident. Placement therefore maps a
  * structure fingerprint to a *stable* preferred core — a pure function
  * of the fingerprint, so identical structures route identically across
  * service restarts — and falls back to the least-loaded core only
@@ -24,44 +24,28 @@
 namespace rsqp
 {
 
-/** How the fleet routes ready sessions onto solver cores. */
-enum class PlacementPolicy
-{
-    Affinity,    ///< fingerprint-stable core, least-loaded overflow
-    LeastLoaded, ///< always the core with the fewest waiting jobs
-    RoundRobin,  ///< rotate, ignoring structure and load
-};
-
-/** Printable policy name ("affinity", "least_loaded", "round_robin"). */
-const char* toString(PlacementPolicy policy);
-
 /** Load summary of one core, as seen by the placement decision. */
 struct CoreLoad
 {
     std::size_t queuedSessions = 0; ///< ready sessions waiting
     unsigned runningStreams = 0;    ///< instruction streams in flight
-    /** Quarantined cores are unavailable: no policy may pick them.
-     *  (When *no* core is available the caller must hold the work
-     *  back; place() then falls back to the affinity target so its
-     *  return value stays total.) */
-    bool available = true;
 };
 
 /**
- * The placement decision. Pure apart from the round-robin cursor: the
- * same (policy, fingerprint, loads) always yields the same core, which
- * the determinism tests — and restart-stable affinity — rely on.
+ * The placement decision. Pure: the same (fingerprint, loads) always
+ * yields the same core, which the determinism tests — and
+ * restart-stable affinity — rely on.
  */
 class PlacementScheduler
 {
   public:
-    PlacementScheduler(PlacementPolicy policy, std::size_t core_count,
+    PlacementScheduler(std::size_t core_count,
                        std::size_t affinity_queue_bound);
 
     /** Pick the core for a session whose head job has fingerprint
      *  `fp`, given the current per-core loads (size == coreCount). */
     std::size_t place(const StructureFingerprint& fp,
-                      const std::vector<CoreLoad>& loads);
+                      const std::vector<CoreLoad>& loads) const;
 
     /**
      * The affinity target: a pure function of the fingerprint digest,
@@ -71,31 +55,12 @@ class PlacementScheduler
     static std::size_t preferredCore(const StructureFingerprint& fp,
                                      std::size_t core_count);
 
-    /**
-     * The affinity target restricted to an explicit candidate set —
-     * the deterministic *re-spill* used when the preferred core is
-     * quarantined: the same fingerprint maps to the same failover
-     * core for as long as the survivor set is the same, so a hot
-     * structure's traffic re-warms one partition instead of smearing
-     * across the fleet. `candidates` must be non-empty and sorted
-     * ascending (the order the fleet naturally produces).
-     */
-    static std::size_t
-    preferredAmong(const StructureFingerprint& fp,
-                   const std::vector<std::size_t>& candidates);
-
-    PlacementPolicy policy() const { return policy_; }
-    std::size_t coreCount() const { return coreCount_; }
-    std::size_t affinityQueueBound() const { return bound_; }
-
   private:
     /** Lowest-index core among those with minimal total load. */
-    std::size_t leastLoaded(const std::vector<CoreLoad>& loads) const;
+    static std::size_t leastLoaded(const std::vector<CoreLoad>& loads);
 
-    PlacementPolicy policy_;
     std::size_t coreCount_;
     std::size_t bound_;
-    std::size_t nextRoundRobin_ = 0;
 };
 
 } // namespace rsqp

@@ -155,7 +155,6 @@ SolverService::~SolverService()
             queuedJobs_ -= state.pending.size();
             state.pending.clear();
         }
-        unplaced_.clear();
         classQueued_.fill(0);
         for (const ClassMetrics& m : classMetrics_)
             m.queueDepth->set(0);
@@ -292,28 +291,27 @@ Real
 SolverService::retryAfterEstimateLocked(AdmissionClass cls) const
 {
     // Expected time for this class's backlog plus the new request to
-    // drain through its weighted-fair share of the slots still taking
-    // work; with every core fenced, nothing drains until the next
-    // readmission probe can land. The share assumes every class is
-    // contending (conservative), which keeps the hint monotone in the
-    // class backlog and never smaller for a lower class.
-    const double average = fleet_.averageJobDeviceSeconds();
-    const std::size_t available = fleet_.availableCoreCount();
-    const double slotCapacity = static_cast<double>(
-        std::max<std::size_t>(std::size_t{1}, available) *
-        fleet_.slotsPerCore());
+    // drain through its weighted-fair share of the fleet's slots, each
+    // request taking the mean measured execute time so far. The share
+    // assumes every class is contending (conservative), which keeps
+    // the hint monotone in the class backlog and never smaller for a
+    // lower class.
+    const double executed =
+        static_cast<double>(std::max<std::uint64_t>(1, executeNs_.count()));
+    const double average =
+        static_cast<double>(executeNs_.sum()) * 1e-9 / executed;
+    const double slotCapacity =
+        static_cast<double>(fleet_.coreCount() * fleet_.slotsPerCore());
     double totalWeight = 0.0;
     for (const AdmissionClassConfig& entry :
          config_.admission.classes)
         totalWeight += std::max(1u, entry.weight);
     const double share =
         std::max(1u, config_.admission.of(cls).weight) / totalWeight;
-    double estimate =
+    const double estimate =
         average *
         static_cast<double>(classQueued_[classIndex(cls)] + 1) /
         (slotCapacity * share);
-    if (available == 0)
-        estimate += fleet_.secondsToNextProbe();
     return std::max(config_.retryAfterFloorSeconds,
                     static_cast<Real>(estimate));
 }
@@ -398,7 +396,7 @@ SolverService::submitAsync(SessionId id, QpProblem problem,
             if (wasIdle)
                 placeReadyLocked(id, state);
             admitted = true;
-            pumpLocked(launches);
+            dispatchLocked(launches);
         } else {
             rejected_.increment();
             classMetrics_[cls].rejected->increment();
@@ -486,12 +484,6 @@ SolverService::solve(SessionId id, QpProblem problem,
 void
 SolverService::placeReadyLocked(SessionId id, SessionState& state)
 {
-    if (fleet_.availableCoreCount() == 0) {
-        // Never park work on a fenced core: it could sit out the
-        // whole quarantine. The pump re-places it after readmission.
-        unplaced_.push_back(id);
-        return;
-    }
     const std::shared_ptr<Job>& head = state.pending.front();
     const std::size_t core = fleet_.placeSession(head->fp);
     fleet_.enqueueReady(core, id, head->options.admissionClass,
@@ -499,49 +491,10 @@ SolverService::placeReadyLocked(SessionId id, SessionState& state)
 }
 
 void
-SolverService::drainUnplacedLocked()
-{
-    if (fleet_.availableCoreCount() == 0)
-        return;
-    std::deque<SessionId> parked;
-    parked.swap(unplaced_);
-    for (SessionId id : parked) {
-        auto it = sessions_.find(id);
-        // Sessions closed or drained while parked hold no job.
-        if (it == sessions_.end() || it->second->running ||
-            it->second->pending.empty())
-            continue;
-        placeReadyLocked(id, *it->second);
-    }
-}
-
-void
-SolverService::pumpLocked(std::vector<Launch>& launches)
-{
-    fleet_.runReadmissionProbes();
-    // Bounded retry: each pass either dispatches, or fast-forwards
-    // the virtual clock to the next probe of an all-quarantined
-    // fleet (probe backoff grows exponentially, so a core with
-    // finitely many failing probes readmits within few passes).
-    for (int pass = 0; pass < 64; ++pass) {
-        drainUnplacedLocked();
-        dispatchLocked(launches);
-        const bool stuck = launches.empty() && activeRuns_ == 0 &&
-                           queuedJobs_ > 0 &&
-                           fleet_.availableCoreCount() == 0;
-        if (!stuck)
-            return;
-        if (!fleet_.advanceVirtualToNextProbe())
-            return;
-        fleet_.runReadmissionProbes();
-    }
-}
-
-void
 SolverService::dispatchLocked(std::vector<Launch>& launches)
 {
     for (std::size_t core = 0; core < fleet_.coreCount(); ++core) {
-        while (fleet_.canDispatch(core) &&
+        while (fleet_.hasCapacity(core) &&
                fleet_.readyDepth(core) > 0) {
             Launch stream;
             stream.core = core;
@@ -582,101 +535,18 @@ SolverService::launch(std::vector<Launch>& launches)
 }
 
 void
-SolverService::failOverStreamLocked(
-    Launch& stream, std::size_t from_index, bool hang,
-    std::vector<Launch>& launches,
-    std::vector<std::pair<std::shared_ptr<Job>, SolveStatus>>& shed)
-{
-    const double stall =
-        hang ? fleet_.stallWatchdogSeconds() : 0.0;
-    Count failedOver = 0;
-    for (std::size_t i = from_index; i < stream.entries.size(); ++i) {
-        Launch::Entry& entry = stream.entries[i];
-        // None of these jobs started solving: session state is
-        // untouched, so the re-run is bitwise identical to an
-        // undisturbed one.
-        entry.state->running = false;
-        entry.job->stallSeconds += stall;
-        ++entry.job->failovers;
-        ++failedOver;
-        if (shuttingDown_ || !entry.state->open) {
-            shed.emplace_back(entry.job,
-                              shuttingDown_ ? SolveStatus::ShuttingDown
-                                            : SolveStatus::Rejected);
-            if (!entry.state->open && entry.state->pending.empty()) {
-                retireSessionSeriesLocked(entry.id, *entry.state);
-                sessions_.erase(entry.id);
-                openSessions_.set(
-                    static_cast<std::int64_t>(sessions_.size()));
-            }
-            continue;
-        }
-        entry.state->pending.push_front(entry.job);
-        ++queuedJobs_;
-        const std::size_t cls =
-            classIndex(entry.job->options.admissionClass);
-        ++classQueued_[cls];
-        classMetrics_[cls].queueDepth->set(
-            static_cast<std::int64_t>(classQueued_[cls]));
-        placeReadyLocked(entry.id, *entry.state);
-    }
-    fleet_.recordFailover(stream.core, failedOver);
-    queueDepth_.set(static_cast<std::int64_t>(queuedJobs_));
-    // Sessions still waiting on the now-fenced core follow the jobs
-    // back to the scheduler.
-    for (const ReadyEntry& ready : fleet_.drainReady(stream.core)) {
-        auto it = sessions_.find(ready.id);
-        if (it == sessions_.end() || it->second->running ||
-            it->second->pending.empty())
-            continue;
-        placeReadyLocked(ready.id, *it->second);
-    }
-    pumpLocked(launches);
-}
-
-void
 SolverService::runStream(Launch stream)
 {
     Timer busy;
-    const bool interleaved = stream.entries.size() > 1;
-    for (std::size_t index = 0; index < stream.entries.size();
-         ++index) {
-        Launch::Entry& entry = stream.entries[index];
+    for (Launch::Entry& entry : stream.entries) {
         SessionResult result;
         std::vector<Launch> launches;
-        std::vector<std::pair<std::shared_ptr<Job>, SolveStatus>>
-            shed;
-        bool failedOver = false;
-        FleetFaultAction action;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            action = fleet_.onJobStarting(stream.core);
-            if (action.kind == FleetFaultAction::Kind::FailStream) {
-                failOverStreamLocked(stream, index, action.hang,
-                                     launches, shed);
-                failedOver = true;
-            }
-        }
-        if (failedOver) {
-            for (auto& item : shed) {
-                SessionResult dropped;
-                dropped.status = item.second;
-                item.first->callback(std::move(dropped));
-            }
-            if (!launches.empty())
-                launch(launches);
-            break; // the stream tail still releases this core's slot
-        }
         {
             // Scoped so the span is recorded *before* the callback is
             // invoked: a client that solves then immediately drains
             // the trace always sees its own request's span.
             TELEMETRY_SPAN("service.run_job");
-            // Stall-watchdog charges from earlier failovers count
-            // against the budget as if the client had really waited
-            // them out on the hung core.
-            const double waited = secondsSince(entry.job->enqueued) +
-                                  entry.job->stallSeconds;
+            const double waited = secondsSince(entry.job->enqueued);
             const bool expired = entry.job->deadline > 0.0 &&
                                  waited >= entry.job->deadline;
             const auto executeStart = std::chrono::steady_clock::now();
@@ -700,13 +570,6 @@ SolverService::runStream(Launch stream)
                     entry.job->options.cacheable,
                     entry.job->options.warmStart);
             }
-            const bool degraded =
-                action.kind == FleetFaultAction::Kind::Degrade;
-            if (degraded)
-                // Modeled slowdown: the device held the job longer.
-                result.deviceSeconds *=
-                    static_cast<Real>(action.slowdown);
-            result.failovers = entry.job->failovers;
             result.telemetry.queueWaitSeconds = waited;
             queueWaitNs_.observe(
                 static_cast<std::uint64_t>(waited * 1e9));
@@ -730,9 +593,7 @@ SolverService::runStream(Launch stream)
                     entry.state->solvesCounter->increment();
                 }
                 fleet_.onJobExecuted(
-                    stream.core, interleaved,
-                    static_cast<double>(result.deviceSeconds),
-                    degraded);
+                    stream.core, static_cast<double>(result.deviceSeconds));
                 entry.state->running = false;
                 if (!entry.state->open &&
                     entry.state->pending.empty()) {
@@ -747,7 +608,7 @@ SolverService::runStream(Launch stream)
                 // Other cores may have gained work (the session was
                 // re-placed); this core's slot stays held until the
                 // stream ends.
-                pumpLocked(launches);
+                dispatchLocked(launches);
             }
         }
         if (!launches.empty())
@@ -760,10 +621,10 @@ SolverService::runStream(Launch stream)
         std::lock_guard<std::mutex> lock(mutex_);
         fleet_.onStreamFinished(stream.core, busy.seconds());
         --activeRuns_;
-        pumpLocked(launches);
-        // The idle check runs after pumpLocked so follow-on work keeps
-        // activeRuns_ nonzero: once a drain observes idle, no code
-        // path of this stream touches the service again, making
+        dispatchLocked(launches);
+        // The idle check runs after dispatchLocked so follow-on work
+        // keeps activeRuns_ nonzero: once a drain observes idle, no
+        // code path of this stream touches the service again, making
         // destruction race-free.
         if (activeRuns_ == 0 && queuedJobs_ == 0)
             idleCv_.notify_all();
@@ -796,10 +657,6 @@ SolverService::stats() const
     stats.retryAfterHints =
         static_cast<Count>(retryAfterHints_.value());
     stats.lastRetryAfterSeconds = lastRetryAfterSeconds_;
-    const FleetStats fleet = fleet_.stats();
-    stats.failovers = fleet.failovers;
-    stats.quarantines = fleet.quarantines;
-    stats.readmissions = fleet.readmissions;
     stats.queueDepth = queuedJobs_;
     stats.peakQueueDepth =
         static_cast<std::size_t>(peakQueueDepth_.value());

@@ -19,9 +19,9 @@
  * session run strictly in submission order (a session is never on two
  * workers at once), while different sessions run in parallel up to
  * the fleet's slot capacity. Ready sessions are routed onto cores by
- * the placement scheduler — by default structure-fingerprint
- * affinity, so same-structure jobs land where the customization
- * artifact is already hot — and drained per-core by smooth weighted
+ * the placement scheduler — structure-fingerprint affinity, so
+ * same-structure jobs land where the customization artifact is
+ * already hot — and drained per-core by smooth weighted
  * round-robin across admission classes, so Realtime work keeps its
  * configured share of every core under Batch backlog. Combined with
  * the pool's deterministic kernels this makes every session's result
@@ -33,19 +33,11 @@
  * the newest queued request of the lowest populated class below it
  * (Batch before Interactive before Realtime). Overflow and shed both
  * resolve SolveStatus::Rejected immediately — carrying a class-aware
- * retryAfterSeconds back-off hint sized to the class's backlog and
- * weighted share of the surviving capacity — and a request whose
- * deadline expires while waiting yields SolveStatus::TimeLimitReached
- * without ever touching the session's solver state.
- *
- * The fleet is also a fault domain: a core that a fault kills or
- * hangs is quarantined (its cache partition invalidated), the jobs it
- * held return to the placement scheduler with their deadline budget
- * decremented by any stall-watchdog charge and re-execute on a
- * healthy core — bitwise identical to an undisturbed run, because a
- * fault only ever fires *before* a job touches its session.
- * Quarantined cores earn readmission through exponential-backoff
- * probes on the fleet's deterministic virtual clock.
+ * retryAfterSeconds back-off hint sized to the class's backlog, its
+ * weighted share of the slot capacity and the measured mean execute
+ * time — and a request whose deadline expires while waiting yields
+ * SolveStatus::TimeLimitReached without ever touching the session's
+ * solver state.
  */
 
 #ifndef RSQP_SERVICE_SERVICE_HPP
@@ -100,7 +92,7 @@ struct ServiceConfig
     ExecutionConfig execution;
     /** Enable the global trace recorder for the service's lifetime. */
     bool tracing = false;
-    /** Device-fleet shape: core count, placement policy, interleaving. */
+    /** Device-fleet shape: core count, run slots, interleaving. */
     FleetConfig fleet;
 };
 
@@ -127,9 +119,6 @@ struct ServiceStats
     Count cancelled = 0;  ///< revoked via RequestToken before launch
     Count shed = 0;       ///< queued jobs evicted by a higher class
     Count shutdownDrained = 0; ///< resolved ShuttingDown by the dtor
-    Count failovers = 0;       ///< jobs re-placed off failed cores
-    Count quarantines = 0;     ///< cores fenced off so far
-    Count readmissions = 0;    ///< quarantines lifted by a probe
     Count retryAfterHints = 0; ///< rejections that carried a hint
     /** Hint attached to the most recent overflow rejection (s). */
     double lastRetryAfterSeconds = 0.0;
@@ -268,11 +257,6 @@ class SolverService
         StructureFingerprint fp;
         /** n + m under the fleet's interleaving threshold. */
         bool small = false;
-        /** Virtual stall-watchdog charges accumulated by failovers
-         *  off hung cores; counts against the deadline budget. */
-        double stallSeconds = 0.0;
-        /** Times this job was pulled off a failed core. */
-        Count failovers = 0;
     };
 
     struct SessionState
@@ -321,39 +305,12 @@ class SolverService
         return static_cast<std::size_t>(cls);
     }
 
-    /** Route a newly ready session onto a fleet core (locked); with
-     *  every core fenced it parks the session in unplaced_ instead. */
+    /** Route a newly ready session onto a fleet core (locked). */
     void placeReadyLocked(SessionId id, SessionState& state);
 
-    /** Re-place parked sessions once a core is available (locked). */
-    void drainUnplacedLocked();
-
-    /** Pop streams off ready cores into `launches` (locked). */
+    /** Pop streams off ready cores into `launches`, up to the fleet's
+     *  slot capacity (locked). */
     void dispatchLocked(std::vector<Launch>& launches);
-
-    /**
-     * Run readmission probes, re-place parked sessions, and move
-     * ready sessions into streams up to the fleet's capacity. When
-     * every core is quarantined with work queued and nothing running,
-     * force the virtual clock forward to the next probe so the fleet
-     * cannot deadlock waiting for device time that will never accrue.
-     */
-    void pumpLocked(std::vector<Launch>& launches);
-
-    /**
-     * A fault killed `stream`'s core before entry `from_index`
-     * started. Return entries [from_index, end) to their sessions'
-     * pending queues (front, preserving order), charge the stall
-     * watchdog on a hang, re-place the sessions and the core's drained
-     * ready queue, and count the failovers. Jobs whose session is
-     * closed — or the whole service shutting down — are appended to
-     * `shed` with the status to resolve outside the lock.
-     */
-    void failOverStreamLocked(
-        Launch& stream, std::size_t from_index, bool hang,
-        std::vector<Launch>& launches,
-        std::vector<std::pair<std::shared_ptr<Job>, SolveStatus>>&
-            shed);
 
     /**
      * Evict the newest queued job of the lowest populated class
@@ -368,10 +325,10 @@ class SolverService
     void unqueueLocked(const std::shared_ptr<Job>& job);
 
     /** Back-off hint for an overflow rejection of `cls`: the class's
-     *  backlog over its weighted share of the surviving slot
-     *  capacity, plus the wait for the next readmission probe when no
-     *  core is available (locked). Monotone in the class backlog, and
-     *  never smaller for a lower class at equal backlog. */
+     *  backlog over its weighted share of the slot capacity, at the
+     *  mean measured execute time (locked). Monotone in the class
+     *  backlog, and never smaller for a lower class at equal
+     *  backlog. */
     Real retryAfterEstimateLocked(AdmissionClass cls) const;
 
     /** Count + histogram a hint about to be attached (locked). */
@@ -428,9 +385,6 @@ class SolverService
     std::condition_variable idleCv_;
     std::unordered_map<SessionId, std::unique_ptr<SessionState>>
         sessions_;
-    /** Ready sessions with no available core to park on (every core
-     *  quarantined); re-placed when a probe readmits one. */
-    std::deque<SessionId> unplaced_;
     unsigned activeRuns_ = 0;  ///< streams in flight, fleet-wide
     std::size_t queuedJobs_ = 0;
     /** Waiting requests per admission class (sums to queuedJobs_). */

@@ -85,9 +85,6 @@ struct SessionResult
     Real deviceSeconds = 0.0;   ///< Device engine: modeled device time
     ValidationReport validation;  ///< filled when InvalidProblem
 
-    /** Times this job was re-placed off a failed core before running
-     *  (fleet failover; the solve itself is bitwise-unaffected). */
-    Count failovers = 0;
     /** Rejected with load shed: suggested client back-off before
      *  resubmitting (seconds; 0 on any other status). */
     Real retryAfterSeconds = 0.0;

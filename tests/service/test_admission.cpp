@@ -2,10 +2,11 @@
  * @file
  * Admission-plane and async-API tests. The Admission suite pins the
  * weighted-fair contract — per-class depth bounds, shed order (Batch
- * before Realtime), class-aware retry-after hints, weighted drain
- * order — and the AsyncSubmit suite pins the submitAsync/cancel
- * surface: exactly-once callbacks off the service lock, cancellation
- * windows, and a submit/cancel/drain race run under TSan in CI.
+ * before Realtime), class-aware retry-after hints on every overflow
+ * rejection, weighted drain order — and the AsyncSubmit suite pins
+ * the submitAsync/cancel surface: exactly-once callbacks off the
+ * service lock, cancellation windows, and a submit/cancel/drain race
+ * run under TSan in CI.
  */
 
 #include <atomic>
@@ -33,6 +34,15 @@ deviceConfig()
     return config;
 }
 
+QpProblem
+withScaledCost(const QpProblem& qp, Real factor)
+{
+    QpProblem out = qp;
+    for (Real& v : out.q)
+        v *= factor;
+    return out;
+}
+
 SubmitOptions
 classOptions(AdmissionClass cls)
 {
@@ -54,10 +64,14 @@ class SlotGate
   public:
     SlotGate(SolverService& service, SessionId id, const QpProblem& qp)
     {
+        // The callback keeps its own handle on the release state: the
+        // gate may be destroyed right after release(), before the
+        // worker reaches its wait.
+        std::shared_future<void> unblock = released_.get_future().share();
         service.submitAsync(id, qp, SubmitOptions{},
-                            [this](SessionResult) {
+                            [this, unblock](SessionResult) {
                                 started_.set_value();
-                                released_.get_future().wait();
+                                unblock.wait();
                             });
         started_.get_future().wait();
     }
@@ -190,40 +204,53 @@ TEST(Admission, ShedsBatchBeforeRealtimeAtFullQueue)
 
 TEST(Admission, RetryHintGrowsWithClassBacklog)
 {
-    // Two services, identical up to the Batch depth bound, each primed
-    // by one identical head solve (the device-seconds average feeding
-    // the hint is a deterministic function of the problem). The
-    // service carrying the deeper Batch backlog must suggest the
-    // longer back-off.
+    // Two rejections of one service while the gate holds its only
+    // slot, so both hints share one measured execute-time average
+    // (the head solve's). Batch is rejected at the full global queue
+    // with backlog 2; one queued Batch request is cancelled, a
+    // Realtime request refills the queue, and Batch is rejected again
+    // with backlog 1. The hint scales with backlog + 1: 3 against 2.
+    // Host engines model no device time, so both engines must give a
+    // hint above the floor.
     const QpProblem qp = generateProblem(Domain::Control, 12, 7);
-    auto rejectedHintAtBacklog = [&qp](std::size_t bound) {
+    for (SessionEngine engine : {SessionEngine::Device, SessionEngine::Host}) {
+        SCOPED_TRACE(engine == SessionEngine::Device ? "device" : "host");
         ServiceConfig config;
         config.maxConcurrency = 1;
+        config.maxQueueDepth = 2;
         config.retryAfterFloorSeconds = 1e-12;
-        config.admission.classes[static_cast<std::size_t>(
-                                     AdmissionClass::Batch)]
-            .maxQueueDepth = bound;
         SolverService service(config);
-        const SessionId head = service.openSession(deviceConfig());
-        const SessionId batch = service.openSession(deviceConfig());
+        SessionConfig sessionConfig = deviceConfig();
+        sessionConfig.engine = engine;
+        const SessionId head = service.openSession(sessionConfig);
+        const SessionId batch = service.openSession(sessionConfig);
+        const SessionId realtime = service.openSession(sessionConfig);
+
+        const SubmitOptions batchOptions = classOptions(AdmissionClass::Batch);
+        const SubmitOptions urgent = classOptions(AdmissionClass::Realtime);
+        const SolveCallback ignore = [](SessionResult) {};
+
         SlotGate gate(service, head, qp);
+        const RequestToken first =
+            service.submitAsync(batch, qp, batchOptions, ignore);
         std::vector<std::future<SessionResult>> queued;
-        for (std::size_t i = 0; i < bound; ++i)
-            queued.push_back(service.submit(
-                batch, qp, classOptions(AdmissionClass::Batch)));
-        const SessionResult rejected = service.solve(
-            batch, qp, classOptions(AdmissionClass::Batch));
-        EXPECT_EQ(rejected.status, SolveStatus::Rejected);
+        queued.push_back(service.submit(batch, qp, batchOptions));
+        const SessionResult deep = service.solve(batch, qp, batchOptions);
+
+        EXPECT_TRUE(service.cancel(first));
+        queued.push_back(service.submit(realtime, qp, urgent));
+        const SessionResult shallow = service.solve(batch, qp, batchOptions);
         gate.release();
         for (std::future<SessionResult>& future : queued)
-            future.get();
-        return rejected.retryAfterSeconds;
-    };
+            EXPECT_EQ(future.get().status, SolveStatus::Solved);
 
-    const Real shallow = rejectedHintAtBacklog(1);
-    const Real deep = rejectedHintAtBacklog(2);
-    EXPECT_GT(shallow, 0.0);
-    EXPECT_GT(deep, shallow);
+        EXPECT_EQ(deep.status, SolveStatus::Rejected);
+        EXPECT_EQ(shallow.status, SolveStatus::Rejected);
+        EXPECT_GT(shallow.retryAfterSeconds, config.retryAfterFloorSeconds);
+        EXPECT_GT(deep.retryAfterSeconds, shallow.retryAfterSeconds);
+        const Real ratio = deep.retryAfterSeconds / shallow.retryAfterSeconds;
+        EXPECT_NEAR(ratio, 1.5, 1e-12);
+    }
 }
 
 TEST(Admission, LowerClassHintNeverSmallerAtEqualBacklog)
@@ -264,6 +291,43 @@ TEST(Admission, LowerClassHintNeverSmallerAtEqualBacklog)
     EXPECT_GT(realtimeRejected.retryAfterSeconds, 0.0);
     EXPECT_GT(batchRejected.retryAfterSeconds,
               realtimeRejected.retryAfterSeconds);
+}
+
+TEST(Admission, OverflowRejectionCarriesRetryAfter)
+{
+    ServiceConfig config;
+    config.maxQueueDepth = 1;
+    config.fleet.coreCount = 1;
+    SolverService service(config);
+    const SessionId id = service.openSession(deviceConfig());
+    const QpProblem qp = generateProblem(Domain::Svm, 30, 9);
+
+    // Same session: the head job runs, one waits, and with the queue
+    // bound at 1 the burst must overflow at least once (submission is
+    // far faster than a solve; a solve cannot outrun the loop).
+    std::vector<std::future<SessionResult>> futures;
+    for (int i = 0; i < 12; ++i)
+        futures.push_back(service.submit(
+            id, withScaledCost(qp, 1.0 + 0.1 * double(i))));
+
+    Count rejections = 0;
+    for (auto& future : futures) {
+        const SessionResult result = future.get();
+        if (result.status == SolveStatus::Rejected) {
+            ++rejections;
+            // Every overflow rejection carries a back-off hint, at
+            // least the configured floor.
+            EXPECT_GE(result.retryAfterSeconds,
+                      config.retryAfterFloorSeconds);
+        } else {
+            EXPECT_EQ(result.status, SolveStatus::Solved);
+            EXPECT_EQ(result.retryAfterSeconds, 0.0);
+        }
+    }
+    EXPECT_GE(rejections, 1);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.retryAfterHints, rejections);
+    EXPECT_GT(stats.lastRetryAfterSeconds, 0.0);
 }
 
 TEST(Admission, WeightedDrainRunsRealtimeBeforeBatch)
