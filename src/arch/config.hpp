@@ -54,13 +54,6 @@ struct ArchConfig
      */
     ExecutionConfig execution;
 
-    /** Effective thread count of the simulation host. */
-    Index
-    resolvedNumThreads() const
-    {
-        return execution.numThreads;
-    }
-
     /** Cycle-model constants. */
     ArchTimings timings;
     /**

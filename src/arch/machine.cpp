@@ -302,7 +302,7 @@ Machine::run(const Program& program, Count max_instructions)
     RSQP_ASSERT(!program.code.empty(), "empty program");
     // Simulation-host parallelism for the C-wide datapath; 0 inherits
     // the ambient default and 1 forces the legacy serial walk.
-    NumThreadsScope threads_scope(config_.resolvedNumThreads());
+    NumThreadsScope threads_scope(config_.execution.numThreads);
     const auto& timings = config_.timings;
 
     // Fresh deterministic fault pattern per run, so a host-level retry

@@ -97,13 +97,8 @@ class PdhgSolver final : public QpBackend
     /** Rebuild the CSR execution mirrors from the scaled CSC data. */
     void rebuildMirrors();
 
-    bool checkPrimalInfeasibility(const Vector& delta_y) const;
-    bool checkDualInfeasibility(const Vector& delta_x) const;
-
     OsqpSettings settings_;
-    QpProblem original_;  ///< unscaled copy (residuals, objective)
-    QpProblem scaled_;    ///< Ruiz-scaled problem the iteration uses
-    Scaling scaling_;
+    ScaledQp qp_;  ///< unscaled and scaled problem (see ScaledQp)
     ValidationReport validation_;
     Index n_ = 0;
     Index m_ = 0;

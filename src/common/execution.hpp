@@ -2,13 +2,10 @@
  * @file
  * ExecutionConfig: the one place execution-resource knobs live.
  *
- * PR 1 grew three independent `numThreads` fields (OsqpSettings,
- * CustomizeSettings, ArchConfig) that all meant the same thing and
- * had to be kept in sync by hand. PR 5 collapsed them onto this
- * struct behind deprecated forwarding aliases; the aliases are now
- * removed and every consumer reads execution.numThreads directly.
- * The thread count is the only knob: the host PCG runs in fp64 alone,
- * and the paper's fp32 datapath is a simulated-device setting
+ * OsqpSettings, CustomizeSettings and ArchConfig each carry one, and
+ * every consumer reads execution.numThreads directly. The thread count
+ * is the only knob: the host PCG runs in fp64 alone, and the paper's
+ * fp32 datapath is a simulated-device setting
  * (CustomizeSettings::fp32Datapath).
  */
 

@@ -156,7 +156,7 @@ customizeProblem(const QpProblem& scaled, const CustomizeSettings& settings)
     customization.config.compressedCvb = settings.compressCvb;
     customization.config.fp32Datapath = settings.fp32Datapath;
     customization.config.execution.numThreads =
-        settings.resolvedNumThreads();
+        settings.execution.numThreads;
     customization.config.faultInjection = settings.faultInjection;
 
     customization.p =
@@ -288,7 +288,7 @@ thawCustomization(const QpProblem& scaled,
     ProblemCustomization customization;
     customization.config = artifact.config;
     customization.config.execution.numThreads =
-        settings.resolvedNumThreads();
+        settings.execution.numThreads;
     customization.config.faultInjection = settings.faultInjection;
 
     const StructureSet& set = customization.config.structures;

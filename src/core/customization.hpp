@@ -53,13 +53,6 @@ struct CustomizeSettings
     /** Execution resources for the simulation host. */
     ExecutionConfig execution;
 
-    /** Effective thread count of the simulation host. */
-    Index
-    resolvedNumThreads() const
-    {
-        return execution.numThreads;
-    }
-
     /** Seeded HBM/MAC soft-error injection (testing only). */
     FaultInjectionConfig faultInjection;
     StructureSearchSettings search;   ///< E_p search knobs

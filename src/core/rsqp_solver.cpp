@@ -24,17 +24,15 @@ RsqpSolver::RsqpSolver(QpProblem problem, OsqpSettings settings,
 RsqpSolver::RsqpSolver(
     QpProblem problem, OsqpSettings settings, CustomizeSettings custom,
     std::shared_ptr<const CustomizationArtifact> artifact)
-    : original_(std::move(problem)), settings_(std::move(settings))
+    : settings_(std::move(settings))
 {
-    // Malformed problem data leaves the solver inert (machine_ stays
-    // null); solve() then reports a typed InvalidProblem result with
-    // the diagnostics instead of crashing the deployment flow.
-    validation_ = validateProblem(original_);
-    if (!validation_.ok()) {
-        RSQP_WARN("problem '", original_.name,
-                  "' failed validation:\n", validation_.describe());
+    // Malformed settings or problem data leave the solver inert
+    // (machine_ stays null); solve() then reports a typed
+    // InvalidProblem result with the diagnostics instead of crashing
+    // the deployment flow.
+    validation_ = validateSetup(problem, settings_);
+    if (!validation_.ok())
         return;
-    }
     // The device loop checks termination every checkInterval
     // iterations, so align maxIter (and the rho interval).
     const Index ci = settings_.checkInterval;
@@ -45,21 +43,21 @@ RsqpSolver::RsqpSolver(
             ((settings_.adaptiveRhoInterval + ci - 1) / ci) * ci;
     }
 
-    scaled_ = original_;
-    scaling_ = ruizEquilibrate(scaled_, settings_.scalingIterations);
+    qp_ = ScaledQp(std::move(problem), settings_.scalingIterations);
+    const QpProblem& scaled = qp_.scaled();
 
     if (artifact != nullptr &&
-        artifact->compatibleWith(scaled_, custom)) {
+        artifact->compatibleWith(scaled, custom)) {
         // Cache hit: the frozen structures/schedules/CVB plans apply
         // verbatim; only the value-dependent packing runs.
-        custom_ = thawCustomization(scaled_, *artifact, custom);
+        custom_ = thawCustomization(scaled, *artifact, custom);
         customizationReused_ = true;
     } else {
         if (artifact != nullptr)
             RSQP_WARN("customization artifact incompatible with "
-                      "problem '", original_.name,
+                      "problem '", qp_.original().name,
                       "'; running the full pipeline");
-        custom_ = customizeProblem(scaled_, custom);
+        custom_ = customizeProblem(scaled, custom);
     }
 
     ArchConfig config = custom_.config;
@@ -70,7 +68,7 @@ RsqpSolver::RsqpSolver(
         machine_->addMatrix(custom_.at.packed, custom_.at.plan, "At");
     mats_.atSq = machine_->addMatrix(custom_.atSq.packed,
                                      custom_.atSq.plan, "AtSq");
-    prog_ = buildOsqpProgram(*machine_, mats_, scaled_, scaling_,
+    prog_ = buildOsqpProgram(*machine_, mats_, scaled, qp_.scaling(),
                              settings_);
 }
 
@@ -79,28 +77,10 @@ RsqpSolver::warmStart(const Vector& x, const Vector& y)
 {
     if (machine_ == nullptr)
         return false;  // inert solver: solve() reports InvalidProblem
-    const Index n = original_.numVariables();
-    const Index m = original_.numConstraints();
-    if (static_cast<Index>(x.size()) != n ||
-        static_cast<Index>(y.size()) != m) {
-        // A malformed client guess must not take the solver down; the
-        // next solve simply starts cold.
-        RSQP_WARN("warmStart ignored: got sizes (", x.size(), ", ",
-                  y.size(), "), expected (", n, ", ", m, ")");
+    Vector xs, ys, zs;
+    if (!qp_.scaleWarmStart(x, y, xs, ys))
         return false;
-    }
-    Vector xs(static_cast<std::size_t>(n));
-    Vector ys(static_cast<std::size_t>(m));
-    for (Index j = 0; j < n; ++j)
-        xs[static_cast<std::size_t>(j)] =
-            scaling_.dInv[static_cast<std::size_t>(j)] *
-            x[static_cast<std::size_t>(j)];
-    for (Index i = 0; i < m; ++i)
-        ys[static_cast<std::size_t>(i)] = scaling_.c *
-            scaling_.eInv[static_cast<std::size_t>(i)] *
-            y[static_cast<std::size_t>(i)];
-    Vector zs;
-    scaled_.a.spmv(xs, zs);
+    qp_.scaled().a.spmv(xs, zs);
     machine_->setHbmVector(prog_.hbmX0, std::move(xs));
     machine_->setHbmVector(prog_.hbmY0, std::move(ys));
     machine_->setHbmVector(prog_.hbmZ0, std::move(zs));
@@ -112,14 +92,8 @@ RsqpSolver::updateLinearCost(const Vector& q)
 {
     if (machine_ == nullptr)
         return;
-    const Index n = original_.numVariables();
-    RSQP_ASSERT(static_cast<Index>(q.size()) == n, "q size mismatch");
-    original_.q = q;
-    for (Index j = 0; j < n; ++j)
-        scaled_.q[static_cast<std::size_t>(j)] = scaling_.c *
-            scaling_.d[static_cast<std::size_t>(j)] *
-            q[static_cast<std::size_t>(j)];
-    machine_->setHbmVector(prog_.hbmQ, scaled_.q);
+    qp_.setLinearCost(q);
+    machine_->setHbmVector(prog_.hbmQ, qp_.scaled().q);
 }
 
 void
@@ -127,31 +101,19 @@ RsqpSolver::updateBounds(const Vector& l, const Vector& u)
 {
     if (machine_ == nullptr)
         return;
-    const Index m = original_.numConstraints();
-    RSQP_ASSERT(static_cast<Index>(l.size()) == m &&
-                static_cast<Index>(u.size()) == m, "bound size mismatch");
-    for (Index i = 0; i < m; ++i)
-        if (l[static_cast<std::size_t>(i)] > u[static_cast<std::size_t>(i)])
-            RSQP_FATAL("updateBounds: l > u at constraint ", i);
-    original_.l = l;
-    original_.u = u;
-    for (Index i = 0; i < m; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        scaled_.l[s] = (l[s] <= -kInf) ? l[s] : scaling_.e[s] * l[s];
-        scaled_.u[s] = (u[s] >= kInf) ? u[s] : scaling_.e[s] * u[s];
-    }
-    machine_->setHbmVector(prog_.hbmL, scaled_.l);
-    machine_->setHbmVector(prog_.hbmU, scaled_.u);
+    qp_.setBounds(l, u);
+    const QpProblem& scaled = qp_.scaled();
+    machine_->setHbmVector(prog_.hbmL, scaled.l);
+    machine_->setHbmVector(prog_.hbmU, scaled.u);
 
     // Constraint classes (equality / loose / regular) may change with
     // the bounds; refresh the device's rho class multipliers to keep
     // parity with OsqpSolver::buildRhoVec.
-    Vector rho_scale(static_cast<std::size_t>(m), 1.0);
-    for (Index i = 0; i < m; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        if (scaled_.l[s] <= -kInf && scaled_.u[s] >= kInf)
+    Vector rho_scale(scaled.l.size(), 1.0);
+    for (std::size_t s = 0; s < rho_scale.size(); ++s) {
+        if (scaled.l[s] <= -kInf && scaled.u[s] >= kInf)
             rho_scale[s] = 0.0;
-        else if (scaled_.u[s] - scaled_.l[s] < 1e-12)
+        else if (scaled.u[s] - scaled.l[s] < 1e-12)
             rho_scale[s] = settings_.rhoEqScale;
     }
     machine_->setHbmVector(prog_.hbmRhoScale, std::move(rho_scale));
@@ -161,44 +123,12 @@ void
 RsqpSolver::updateMatrixValues(const std::vector<Real>& p_values,
                                const std::vector<Real>& a_values)
 {
-    if (machine_ == nullptr)
+    if (machine_ == nullptr || !qp_.setMatrixValues(p_values, a_values))
         return;
-    const Index n = original_.numVariables();
-    // 1. Update the unscaled data and re-apply the fixed scaling,
-    //    exactly as the host solver does.
-    if (!p_values.empty()) {
-        RSQP_ASSERT(p_values.size() == original_.pUpper.values().size(),
-                    "P value count mismatch");
-        original_.pUpper.values() = p_values;
-        auto& scaled_vals = scaled_.pUpper.values();
-        const auto& col_ptr = scaled_.pUpper.colPtr();
-        const auto& row_idx = scaled_.pUpper.rowIdx();
-        for (Index c = 0; c < n; ++c)
-            for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p)
-                scaled_vals[static_cast<std::size_t>(p)] = scaling_.c *
-                    scaling_.d[static_cast<std::size_t>(row_idx[p])] *
-                    scaling_.d[static_cast<std::size_t>(c)] *
-                    p_values[static_cast<std::size_t>(p)];
-    }
-    if (!a_values.empty()) {
-        RSQP_ASSERT(a_values.size() == original_.a.values().size(),
-                    "A value count mismatch");
-        original_.a.values() = a_values;
-        auto& scaled_vals = scaled_.a.values();
-        const auto& col_ptr = scaled_.a.colPtr();
-        const auto& row_idx = scaled_.a.rowIdx();
-        for (Index c = 0; c < n; ++c)
-            for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p)
-                scaled_vals[static_cast<std::size_t>(p)] =
-                    scaling_.e[static_cast<std::size_t>(row_idx[p])] *
-                    scaling_.d[static_cast<std::size_t>(c)] *
-                    a_values[static_cast<std::size_t>(p)];
-    }
-    if (p_values.empty() && a_values.empty())
-        return;
+    const QpProblem& scaled = qp_.scaled();
 
-    // 2. Re-pack the affected matrices on the existing schedules and
-    //    rewrite the HBM streams (structure unchanged).
+    // Re-pack the affected matrices on the existing schedules and
+    // rewrite the HBM streams (structure unchanged).
     const StructureSet& set = custom_.config.structures;
     auto repack = [&](MatrixArtifacts& artifacts, CsrMatrix csr,
                       Index mat_id) {
@@ -209,17 +139,17 @@ RsqpSolver::updateMatrixValues(const std::vector<Real>& p_values,
     };
     if (!p_values.empty()) {
         repack(custom_.p,
-               CsrMatrix::fromCsc(scaled_.pUpper.symUpperToFull()),
+               CsrMatrix::fromCsc(scaled.pUpper.symUpperToFull()),
                mats_.p);
         // diag(P_scaled) + sigma feeds the on-device preconditioner.
-        Vector diag_p_sigma = scaled_.pUpper.diagonalVector();
+        Vector diag_p_sigma = scaled.pUpper.diagonalVector();
         for (Real& v : diag_p_sigma)
             v += settings_.sigma;
         machine_->setHbmVector(prog_.hbmDiagP, std::move(diag_p_sigma));
     }
     if (!a_values.empty()) {
-        repack(custom_.a, CsrMatrix::fromCsc(scaled_.a), mats_.a);
-        CsrMatrix at = CsrMatrix::fromCsc(scaled_.a.transpose());
+        repack(custom_.a, CsrMatrix::fromCsc(scaled.a), mats_.a);
+        CsrMatrix at = CsrMatrix::fromCsc(scaled.a.transpose());
         CsrMatrix at_sq = at;
         for (Real& v : at_sq.values())
             v *= v;
@@ -241,8 +171,9 @@ RsqpSolver::solve()
         return result;
     }
 
-    const Index n = original_.numVariables();
-    const Index m = original_.numConstraints();
+    const QpProblem& original = qp_.original();
+    const Index n = original.numVariables();
+    const Index m = original.numConstraints();
 
     // A corrupted device run can leave any scalar register non-finite;
     // screen before the (undefined-behavior) float->int casts below.
@@ -268,18 +199,7 @@ RsqpSolver::solve()
         const Vector& xs = machine_->hbmValue(prog_.hbmXOut);
         const Vector& ys = machine_->hbmValue(prog_.hbmYOut);
         const Vector& zs = machine_->hbmValue(prog_.hbmZOut);
-        result.x.resize(static_cast<std::size_t>(n));
-        result.y.resize(static_cast<std::size_t>(m));
-        result.z.resize(static_cast<std::size_t>(m));
-        for (Index j = 0; j < n; ++j)
-            result.x[static_cast<std::size_t>(j)] =
-                scaling_.d[static_cast<std::size_t>(j)] *
-                xs[static_cast<std::size_t>(j)];
-        for (Index i = 0; i < m; ++i) {
-            const auto s = static_cast<std::size_t>(i);
-            result.y[s] = scaling_.cInv * scaling_.e[s] * ys[s];
-            result.z[s] = scaling_.eInv[s] * zs[s];
-        }
+        qp_.unscale(xs, ys, zs, result.x, result.y, result.z);
 
         info.status = machine_->scalarValue(prog_.sStatus) > 0.5
             ? SolveStatus::Solved
@@ -301,7 +221,7 @@ RsqpSolver::solve()
             // The device's own convergence verdict rides on registers
             // the injector may have corrupted — re-verify on the host.
             const ResidualInfo res = computeResiduals(
-                original_, result.x, result.y, result.z,
+                original, result.x, result.y, result.z,
                 settings_.epsAbs, settings_.epsRel);
             info.primRes = res.primRes;
             info.dualRes = res.dualRes;
@@ -329,7 +249,7 @@ RsqpSolver::solve()
         info.status = SolveStatus::NumericalError;
     }
 
-    info.objective = original_.objective(result.x);
+    info.objective = original.objective(result.x);
     info.solveTime = solve_timer.seconds();
 
     result.machineStats = machine_->stats();

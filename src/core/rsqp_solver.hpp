@@ -77,8 +77,9 @@ class RsqpSolver final : public QpBackend
     /**
      * Warm start the next solve() (unscaled guesses). A size mismatch
      * is a recoverable client error: the guess is ignored with a
-     * warning and false is returned (the solve proceeds cold), in the
-     * same spirit as the non-throwing InvalidProblem path.
+     * warning and false is returned (the solve starts from the last
+     * accepted guess, or cold), in the same spirit as the non-throwing
+     * InvalidProblem path.
      */
     bool warmStart(const Vector& x, const Vector& y) override;
 
@@ -111,9 +112,9 @@ class RsqpSolver final : public QpBackend
     }
 
     /**
-     * Problem diagnostics from setup. When not ok() the solver is
-     * inert: solve() returns InvalidProblem, mutators are no-ops, and
-     * machine()/program() must not be called.
+     * Settings and problem diagnostics from setup. When not ok() the
+     * solver is inert: solve() returns InvalidProblem, mutators are
+     * no-ops, and machine()/program() must not be called.
      */
     const ValidationReport& validation() const override
     {
@@ -128,9 +129,7 @@ class RsqpSolver final : public QpBackend
     const Program& program() const { return prog_.program; }
 
   private:
-    QpProblem original_;
-    QpProblem scaled_;
-    Scaling scaling_;
+    ScaledQp qp_;  ///< unscaled and scaled problem (see ScaledQp)
     ValidationReport validation_;  ///< setup diagnostics
     OsqpSettings settings_;
     ProblemCustomization custom_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hpp"
+#include "common/thread_pool.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace rsqp
@@ -22,6 +24,30 @@ equilibrationFactor(Real norm)
     if (norm == 0.0)
         return 1.0;
     return clampReal(1.0 / std::sqrt(norm), kMinScaling, kMaxScaling);
+}
+
+/**
+ * Replace `original`'s values with `values` and write
+ * k * row[r] * col[c] * values[p] into `scaled` over the shared
+ * pattern (k = 1 multiplies exactly, so E A D rounds as e_r d_c a).
+ */
+void
+rescaleValues(CscMatrix& original, CscMatrix& scaled,
+              const std::vector<Real>& values, Real k, const Vector& row,
+              const Vector& col)
+{
+    RSQP_ASSERT(values.size() == original.values().size(),
+                "matrix value count mismatch");
+    original.values() = values;
+    std::vector<Real>& out = scaled.values();
+    const std::vector<Index>& col_ptr = scaled.colPtr();
+    const std::vector<Index>& row_idx = scaled.rowIdx();
+    for (Index c = 0; c < scaled.cols(); ++c)
+        for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
+            const auto s = static_cast<std::size_t>(p);
+            out[s] = k * row[static_cast<std::size_t>(row_idx[p])] *
+                col[static_cast<std::size_t>(c)] * values[s];
+        }
 }
 
 } // namespace
@@ -108,6 +134,108 @@ ruizEquilibrate(QpProblem& problem, Index iterations)
     ewReciprocal(scaling.e, scaling.eInv);
     scaling.cInv = 1.0 / scaling.c;
     return scaling;
+}
+
+ScaledQp::ScaledQp(QpProblem problem, Index iterations)
+    : original_(std::move(problem)), scaled_(original_),
+      scaling_(ruizEquilibrate(scaled_, iterations))
+{}
+
+void
+ScaledQp::setLinearCost(const Vector& q)
+{
+    RSQP_ASSERT(q.size() == original_.q.size(), "q size mismatch");
+    original_.q = q;
+    for (std::size_t j = 0; j < q.size(); ++j)
+        scaled_.q[j] = scaling_.c * scaling_.d[j] * q[j];
+}
+
+void
+ScaledQp::setBounds(const Vector& l, const Vector& u)
+{
+    const std::size_t m = original_.l.size();
+    RSQP_ASSERT(l.size() == m && u.size() == m, "bound size mismatch");
+    for (std::size_t i = 0; i < m; ++i)
+        if (l[i] > u[i])
+            RSQP_FATAL("updateBounds: l > u at constraint ", i);
+    original_.l = l;
+    original_.u = u;
+    for (std::size_t i = 0; i < m; ++i) {
+        scaled_.l[i] = (l[i] <= -kInf) ? l[i] : scaling_.e[i] * l[i];
+        scaled_.u[i] = (u[i] >= kInf) ? u[i] : scaling_.e[i] * u[i];
+    }
+}
+
+bool
+ScaledQp::setMatrixValues(const std::vector<Real>& p_values,
+                          const std::vector<Real>& a_values)
+{
+    if (!p_values.empty())  // Pb = c D P D
+        rescaleValues(original_.pUpper, scaled_.pUpper, p_values,
+                      scaling_.c, scaling_.d, scaling_.d);
+    if (!a_values.empty())  // Ab = E A D
+        rescaleValues(original_.a, scaled_.a, a_values, 1.0, scaling_.e,
+                      scaling_.d);
+    return !p_values.empty() || !a_values.empty();
+}
+
+bool
+ScaledQp::scaleWarmStart(const Vector& x, const Vector& y, Vector& xb,
+                         Vector& yb) const
+{
+    const std::size_t n = original_.q.size();
+    const std::size_t m = original_.l.size();
+    if (x.size() != n || y.size() != m) {
+        // A malformed client guess must not take the engine down; the
+        // next solve simply starts from its current iterates.
+        RSQP_WARN("warmStart ignored: got sizes (", x.size(), ", ",
+                  y.size(), "), expected (", n, ", ", m, ")");
+        return false;
+    }
+    xb.resize(n);
+    yb.resize(m);
+    for (std::size_t j = 0; j < n; ++j)
+        xb[j] = scaling_.dInv[j] * x[j];
+    for (std::size_t i = 0; i < m; ++i)
+        yb[i] = scaling_.c * scaling_.eInv[i] * y[i];
+    return true;
+}
+
+void
+ScaledQp::unscale(const Vector& xb, const Vector& yb, Vector& x,
+                  Vector& y) const
+{
+    const Index n = original_.numVariables();
+    const Index m = original_.numConstraints();
+    x.resize(static_cast<std::size_t>(n));
+    y.resize(static_cast<std::size_t>(m));
+    parallelForRange(n, [&](Index jb, Index je) {
+        for (Index j = jb; j < je; ++j) {
+            const auto s = static_cast<std::size_t>(j);
+            x[s] = scaling_.d[s] * xb[s];
+        }
+    });
+    parallelForRange(m, [&](Index ib, Index ie) {
+        for (Index i = ib; i < ie; ++i) {
+            const auto s = static_cast<std::size_t>(i);
+            y[s] = scaling_.cInv * scaling_.e[s] * yb[s];
+        }
+    });
+}
+
+void
+ScaledQp::unscale(const Vector& xb, const Vector& yb, const Vector& zb,
+                  Vector& x, Vector& y, Vector& z) const
+{
+    unscale(xb, yb, x, y);
+    const Index m = original_.numConstraints();
+    z.resize(static_cast<std::size_t>(m));
+    parallelForRange(m, [&](Index ib, Index ie) {
+        for (Index i = ib; i < ie; ++i) {
+            const auto s = static_cast<std::size_t>(i);
+            z[s] = scaling_.eInv[s] * zb[s];
+        }
+    });
 }
 
 } // namespace rsqp

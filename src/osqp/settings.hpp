@@ -70,13 +70,6 @@ struct OsqpSettings
      */
     ExecutionConfig execution;
 
-    /** Effective thread count of this solve's hot path. */
-    Index
-    resolvedNumThreads() const
-    {
-        return execution.numThreads;
-    }
-
     bool recordTrace = false;  ///< keep per-iteration residual history
 
     /**

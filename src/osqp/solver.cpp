@@ -18,23 +18,16 @@ namespace rsqp
 {
 
 OsqpSolver::OsqpSolver(QpProblem problem, OsqpSettings settings)
-    : settings_(std::move(settings)), original_(std::move(problem))
+    : settings_(std::move(settings))
 {
     Timer setup_timer;
 
     // Malformed settings and malformed problem data are both *caller*
     // input, not programming errors: record the diagnostics and come
     // up inert so solve() returns a typed InvalidProblem result
-    // instead of crashing (the constructor threw RSQP_FATAL for bad
-    // settings before PR 5).
-    validation_ = validateSettings(settings_);
-    ValidationReport problem_report = validateProblem(original_);
-    validation_.issues.insert(validation_.issues.end(),
-                              problem_report.issues.begin(),
-                              problem_report.issues.end());
+    // instead of crashing.
+    validation_ = validateSetup(problem, settings_);
     if (!validation_.ok()) {
-        RSQP_WARN("problem '", original_.name,
-                  "' failed validation:\n", validation_.describe());
         lastInfo_.status = SolveStatus::InvalidProblem;
         lastInfo_.setupTime = setup_timer.seconds();
         return;
@@ -44,11 +37,9 @@ OsqpSolver::OsqpSolver(QpProblem problem, OsqpSettings settings)
         faultInjector_ =
             std::make_unique<FaultInjector>(settings_.faultInjection);
 
-    n_ = original_.numVariables();
-    m_ = original_.numConstraints();
-
-    scaled_ = original_;
-    scaling_ = ruizEquilibrate(scaled_, settings_.scalingIterations);
+    qp_ = ScaledQp(std::move(problem), settings_.scalingIterations);
+    n_ = qp_.original().numVariables();
+    m_ = qp_.original().numConstraints();
 
     rhoBar_ = settings_.rho;
     sigmaEff_ = settings_.sigma;
@@ -66,11 +57,12 @@ OsqpSolver::~OsqpSolver() = default;
 void
 OsqpSolver::buildRhoVec(Real rho_bar)
 {
+    const QpProblem& scaled = qp_.scaled();
     rhoVec_.resize(static_cast<std::size_t>(m_));
     rhoInvVec_.resize(static_cast<std::size_t>(m_));
     for (Index i = 0; i < m_; ++i) {
-        const Real lo = scaled_.l[static_cast<std::size_t>(i)];
-        const Real hi = scaled_.u[static_cast<std::size_t>(i)];
+        const Real lo = scaled.l[static_cast<std::size_t>(i)];
+        const Real hi = scaled.u[static_cast<std::size_t>(i)];
         Real rho_i = rho_bar;
         if (lo <= -kInf && hi >= kInf) {
             // Loose constraint: keep its multiplier near zero.
@@ -88,15 +80,16 @@ OsqpSolver::buildRhoVec(Real rho_bar)
 void
 OsqpSolver::rebuildKktSolver()
 {
+    const QpProblem& scaled = qp_.scaled();
     switch (settings_.backend) {
       case KktBackend::DirectLdl:
         kkt_ = std::make_unique<DirectKktSolver>(
-            scaled_.pUpper, scaled_.a, sigmaEff_, rhoVec_,
+            scaled.pUpper, scaled.a, sigmaEff_, rhoVec_,
             settings_.ordering);
         break;
       case KktBackend::IndirectPcg:
         kkt_ = std::make_unique<IndirectKktSolver>(
-            scaled_.pUpper, scaled_.a, sigmaEff_, rhoVec_, settings_.pcg);
+            scaled.pUpper, scaled.a, sigmaEff_, rhoVec_, settings_.pcg);
         break;
     }
 }
@@ -106,61 +99,25 @@ OsqpSolver::warmStart(const Vector& x, const Vector& y)
 {
     if (!validation_.ok())
         return false;  // inert solver: solve() reports InvalidProblem
-    if (static_cast<Index>(x.size()) != n_ ||
-        static_cast<Index>(y.size()) != m_) {
-        // A malformed client guess must not take the solver down; the
-        // next solve simply starts from the current iterates.
-        RSQP_WARN("warmStart ignored: got sizes (", x.size(), ", ",
-                  y.size(), "), expected (", n_, ", ", m_, ")");
+    // Map the unscaled guess into scaled space; z follows from x.
+    if (!qp_.scaleWarmStart(x, y, x_, y_))
         return false;
-    }
-    // Map the unscaled guess into scaled space.
-    for (Index j = 0; j < n_; ++j)
-        x_[static_cast<std::size_t>(j)] =
-            scaling_.dInv[static_cast<std::size_t>(j)] *
-            x[static_cast<std::size_t>(j)];
-    for (Index i = 0; i < m_; ++i)
-        y_[static_cast<std::size_t>(i)] = scaling_.c *
-            scaling_.eInv[static_cast<std::size_t>(i)] *
-            y[static_cast<std::size_t>(i)];
-    scaled_.a.spmv(x_, z_);
+    qp_.scaled().a.spmv(x_, z_);
     return true;
 }
 
 void
 OsqpSolver::updateLinearCost(const Vector& q)
 {
-    if (!validation_.ok())
-        return;
-    RSQP_ASSERT(static_cast<Index>(q.size()) == n_, "q size mismatch");
-    original_.q = q;
-    for (Index j = 0; j < n_; ++j)
-        scaled_.q[static_cast<std::size_t>(j)] = scaling_.c *
-            scaling_.d[static_cast<std::size_t>(j)] *
-            q[static_cast<std::size_t>(j)];
+    if (validation_.ok())
+        qp_.setLinearCost(q);
 }
 
 void
 OsqpSolver::updateBounds(const Vector& l, const Vector& u)
 {
-    if (!validation_.ok())
-        return;
-    RSQP_ASSERT(static_cast<Index>(l.size()) == m_ &&
-                static_cast<Index>(u.size()) == m_, "bound size mismatch");
-    for (Index i = 0; i < m_; ++i)
-        if (l[static_cast<std::size_t>(i)] > u[static_cast<std::size_t>(i)])
-            RSQP_FATAL("updateBounds: l > u at constraint ", i);
-    original_.l = l;
-    original_.u = u;
-    for (Index i = 0; i < m_; ++i) {
-        const Real e_i = scaling_.e[static_cast<std::size_t>(i)];
-        const Real lo = l[static_cast<std::size_t>(i)];
-        const Real hi = u[static_cast<std::size_t>(i)];
-        scaled_.l[static_cast<std::size_t>(i)] =
-            (lo <= -kInf) ? lo : e_i * lo;
-        scaled_.u[static_cast<std::size_t>(i)] =
-            (hi >= kInf) ? hi : e_i * hi;
-    }
+    if (validation_.ok())
+        qp_.setBounds(l, u);
 }
 
 void
@@ -179,114 +136,14 @@ void
 OsqpSolver::updateMatrixValues(const std::vector<Real>& p_values,
                                const std::vector<Real>& a_values)
 {
-    if (!validation_.ok())
+    if (!validation_.ok() || !qp_.setMatrixValues(p_values, a_values))
         return;
-    if (!p_values.empty()) {
-        RSQP_ASSERT(p_values.size() == original_.pUpper.values().size(),
-                    "P value count mismatch");
-        original_.pUpper.values() = p_values;
-        // Re-apply the fixed scaling: Pb = c * D P D.
-        auto& scaled_vals = scaled_.pUpper.values();
-        const auto& col_ptr = scaled_.pUpper.colPtr();
-        const auto& row_idx = scaled_.pUpper.rowIdx();
-        for (Index c = 0; c < n_; ++c)
-            for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p)
-                scaled_vals[static_cast<std::size_t>(p)] = scaling_.c *
-                    scaling_.d[static_cast<std::size_t>(row_idx[p])] *
-                    scaling_.d[static_cast<std::size_t>(c)] *
-                    p_values[static_cast<std::size_t>(p)];
-    }
-    if (!a_values.empty()) {
-        RSQP_ASSERT(a_values.size() == original_.a.values().size(),
-                    "A value count mismatch");
-        original_.a.values() = a_values;
-        auto& scaled_vals = scaled_.a.values();
-        const auto& col_ptr = scaled_.a.colPtr();
-        const auto& row_idx = scaled_.a.rowIdx();
-        for (Index c = 0; c < n_; ++c)
-            for (Index p = col_ptr[c]; p < col_ptr[c + 1]; ++p)
-                scaled_vals[static_cast<std::size_t>(p)] =
-                    scaling_.e[static_cast<std::size_t>(row_idx[p])] *
-                    scaling_.d[static_cast<std::size_t>(c)] *
-                    a_values[static_cast<std::size_t>(p)];
-    }
-    if (!p_values.empty() || !a_values.empty()) {
-        // The backends reference the scaled matrices rewritten above;
-        // refresh their execution forms in place when they can (same
-        // sparsity pattern), rebuild from scratch otherwise.
-        if (!kkt_->updateMatrixValues(scaled_.pUpper.values(),
-                                      scaled_.a.values()))
-            rebuildKktSolver();
-    }
-}
-
-void
-OsqpSolver::computeResiduals(const Vector& x, const Vector& y,
-                             const Vector& z, Real& prim_res,
-                             Real& dual_res, Real& eps_prim,
-                             Real& eps_dual) const
-{
-    // All quantities here are unscaled.
-    const ResidualInfo info = rsqp::computeResiduals(
-        original_, x, y, z, settings_.epsAbs, settings_.epsRel);
-    prim_res = info.primRes;
-    dual_res = info.dualRes;
-    eps_prim = info.epsPrim;
-    eps_dual = info.epsDual;
-}
-
-bool
-OsqpSolver::checkPrimalInfeasibility(const Vector& delta_y) const
-{
-    const Real norm_dy = normInf(delta_y);
-    if (norm_dy <= settings_.epsPrimInf)
-        return false;
-    // Certificate: A' dy ~ 0 and u'(dy)+ + l'(dy)- sufficiently negative.
-    Vector at_dy;
-    original_.a.spmvTranspose(delta_y, at_dy);
-    if (normInf(at_dy) > settings_.epsPrimInf * norm_dy)
-        return false;
-    Real support = 0.0;
-    for (Index i = 0; i < m_; ++i) {
-        const Real dy_i = delta_y[static_cast<std::size_t>(i)];
-        if (dy_i > 0.0) {
-            const Real u_i = original_.u[static_cast<std::size_t>(i)];
-            if (u_i >= kInf)
-                return false;
-            support += u_i * dy_i;
-        } else if (dy_i < 0.0) {
-            const Real l_i = original_.l[static_cast<std::size_t>(i)];
-            if (l_i <= -kInf)
-                return false;
-            support += l_i * dy_i;
-        }
-    }
-    return support <= -settings_.epsPrimInf * norm_dy;
-}
-
-bool
-OsqpSolver::checkDualInfeasibility(const Vector& delta_x) const
-{
-    const Real norm_dx = normInf(delta_x);
-    if (norm_dx <= settings_.epsDualInf)
-        return false;
-    if (dot(original_.q, delta_x) > -settings_.epsDualInf * norm_dx)
-        return false;
-    Vector p_dx;
-    original_.pUpper.spmvSymUpper(delta_x, p_dx);
-    if (normInf(p_dx) > settings_.epsDualInf * norm_dx)
-        return false;
-    Vector a_dx;
-    original_.a.spmv(delta_x, a_dx);
-    const Real tol = settings_.epsDualInf * norm_dx;
-    for (Index i = 0; i < m_; ++i) {
-        const Real v = a_dx[static_cast<std::size_t>(i)];
-        if (original_.u[static_cast<std::size_t>(i)] < kInf && v > tol)
-            return false;
-        if (original_.l[static_cast<std::size_t>(i)] > -kInf && v < -tol)
-            return false;
-    }
-    return true;
+    // The backends reference the scaled matrices just rewritten;
+    // refresh their execution forms in place when they can (same
+    // sparsity pattern), rebuild from scratch otherwise.
+    if (!kkt_->updateMatrixValues(qp_.scaled().pUpper.values(),
+                                  qp_.scaled().a.values()))
+        rebuildKktSolver();
 }
 
 bool
@@ -294,13 +151,14 @@ OsqpSolver::adaptRho(Real prim_res, Real dual_res, const Vector& x,
                      const Vector& y, const Vector& z)
 {
     // Scaled residual ratio as in OSQP Section 5.2 (unscaled space).
+    const QpProblem& original = qp_.original();
     Vector ax, px, aty;
-    original_.a.spmv(x, ax);
-    original_.pUpper.spmvSymUpper(x, px);
-    original_.a.spmvTranspose(y, aty);
+    original.a.spmv(x, ax);
+    original.pUpper.spmvSymUpper(x, px);
+    original.a.spmvTranspose(y, aty);
     const Real prim_den = std::max(normInf(ax), normInf(z));
     const Real dual_den = std::max({normInf(px), normInf(aty),
-                                    normInf(original_.q)});
+                                    normInf(original.q)});
     const Real prim_rel = prim_res / std::max(prim_den, Real(1e-10));
     const Real dual_rel = dual_res / std::max(dual_den, Real(1e-10));
     const Real ratio = prim_rel / std::max(dual_rel, Real(1e-10));
@@ -325,7 +183,7 @@ OsqpSolver::solve()
     Timer solve_timer;
     AccumulatingTimer kkt_timer;
     // Route the settings knob to the vector kernels and PCG below.
-    NumThreadsScope threads_scope(settings_.resolvedNumThreads());
+    NumThreadsScope threads_scope(settings_.execution.numThreads);
 
     OsqpResult result;
     OsqpInfo& info = result.info;
@@ -374,6 +232,9 @@ OsqpSolver::solve()
     Vector proj_arg(static_cast<std::size_t>(m_));
 
     const Real alpha = settings_.alpha;
+    const QpProblem& original = qp_.original();
+    const QpProblem& scaled = qp_.scaled();
+    const Scaling& scaling = qp_.scaling();
 
     // Roll the iterates back to the last-good checkpoint (or a cold
     // start if none was taken yet).
@@ -432,7 +293,7 @@ OsqpSolver::solve()
             for (Index j = jb; j < je; ++j)
                 rhs_x[static_cast<std::size_t>(j)] =
                     sigmaEff_ * x_[static_cast<std::size_t>(j)] -
-                    scaled_.q[static_cast<std::size_t>(j)];
+                    scaled.q[static_cast<std::size_t>(j)];
         });
         parallelForRange(m_, [&](Index ib, Index ie) {
             for (Index i = ib; i < ie; ++i)
@@ -467,7 +328,7 @@ OsqpSolver::solve()
                     alpha * z_tilde[s] + (1.0 - alpha) * z_[s];
                 proj_arg[s] = z_relaxed + rhoInvVec_[s] * y_[s];
                 const Real z_next =
-                    clampReal(proj_arg[s], scaled_.l[s], scaled_.u[s]);
+                    clampReal(proj_arg[s], scaled.l[s], scaled.u[s]);
                 y_[s] += rhoVec_[s] * (z_relaxed - z_next);
                 z_[s] = z_next;
             }
@@ -492,32 +353,19 @@ OsqpSolver::solve()
         }
 
         // Unscale the iterates for residuals and certificates.
-        Vector x_u(static_cast<std::size_t>(n_));
-        Vector y_u(static_cast<std::size_t>(m_));
-        Vector z_u(static_cast<std::size_t>(m_));
-        for (Index j = 0; j < n_; ++j)
-            x_u[static_cast<std::size_t>(j)] =
-                scaling_.d[static_cast<std::size_t>(j)] *
-                x_[static_cast<std::size_t>(j)];
-        for (Index i = 0; i < m_; ++i) {
-            const auto s = static_cast<std::size_t>(i);
-            y_u[s] = scaling_.cInv * scaling_.e[s] * y_[s];
-            z_u[s] = scaling_.eInv[s] * z_[s];
-        }
-
-        Real prim_res = 0.0, dual_res = 0.0, eps_prim = 0.0,
-             eps_dual = 0.0;
-        computeResiduals(x_u, y_u, z_u, prim_res, dual_res, eps_prim,
-                         eps_dual);
-        info.primRes = prim_res;
-        info.dualRes = dual_res;
-        info.telemetry.pushResidual(iter, prim_res, dual_res);
+        Vector x_u, y_u, z_u;
+        qp_.unscale(x_, y_, z_, x_u, y_u, z_u);
+        const ResidualInfo res = computeResiduals(
+            original, x_u, y_u, z_u, settings_.epsAbs, settings_.epsRel);
+        info.primRes = res.primRes;
+        info.dualRes = res.dualRes;
+        info.telemetry.pushResidual(iter, res.primRes, res.dualRes);
 
         if (settings_.recordTrace) {
             IterationRecord rec;
             rec.iteration = iter;
-            rec.primRes = prim_res;
-            rec.dualRes = dual_res;
+            rec.primRes = res.primRes;
+            rec.dualRes = res.dualRes;
             rec.rho = rhoBar_;
             rec.pcgIterations = kstats.pcgIterations;
             result.trace.push_back(rec);
@@ -525,7 +373,7 @@ OsqpSolver::solve()
 
         if (ft.watchdog) {
             const DivergenceWatchdog::Verdict verdict =
-                watchdog.observe(prim_res, dual_res);
+                watchdog.observe(res.primRes, res.dualRes);
             if (verdict == DivergenceWatchdog::Verdict::Diverged) {
                 if (try_recover(iter, "residual divergence"))
                     continue;
@@ -544,32 +392,35 @@ OsqpSolver::solve()
         }
 
         if (check_now) {
-            if (prim_res <= eps_prim && dual_res <= eps_dual) {
+            if (res.converged()) {
                 info.status = SolveStatus::Solved;
                 break;
             }
             // Infeasibility certificates from the iterate deltas.
             for (Index j = 0; j < n_; ++j)
                 delta_x[static_cast<std::size_t>(j)] =
-                    scaling_.d[static_cast<std::size_t>(j)] *
+                    scaling.d[static_cast<std::size_t>(j)] *
                     (x_[static_cast<std::size_t>(j)] -
                      x_prev[static_cast<std::size_t>(j)]);
             for (Index i = 0; i < m_; ++i) {
                 const auto s = static_cast<std::size_t>(i);
-                delta_y[s] = scaling_.cInv * scaling_.e[s] *
+                delta_y[s] = scaling.cInv * scaling.e[s] *
                     (y_[s] - y_prev[s]);
             }
-            if (checkPrimalInfeasibility(delta_y)) {
+            if (checkPrimalInfeasibility(original, delta_y,
+                                         settings_.epsPrimInf)) {
                 info.status = SolveStatus::PrimalInfeasible;
                 break;
             }
-            if (checkDualInfeasibility(delta_x)) {
+            if (checkDualInfeasibility(original, delta_x,
+                                       settings_.epsDualInf)) {
                 info.status = SolveStatus::DualInfeasible;
                 break;
             }
         }
 
-        if (adapt_now && adaptRho(prim_res, dual_res, x_u, y_u, z_u))
+        if (adapt_now &&
+            adaptRho(res.primRes, res.dualRes, x_u, y_u, z_u))
             ++info.rhoUpdates;
     }
 
@@ -583,22 +434,11 @@ OsqpSolver::solve()
     }
 
     // Final unscaled solution.
-    result.x.resize(static_cast<std::size_t>(n_));
-    result.y.resize(static_cast<std::size_t>(m_));
-    result.z.resize(static_cast<std::size_t>(m_));
-    for (Index j = 0; j < n_; ++j)
-        result.x[static_cast<std::size_t>(j)] =
-            scaling_.d[static_cast<std::size_t>(j)] *
-            x_[static_cast<std::size_t>(j)];
-    for (Index i = 0; i < m_; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        result.y[s] = scaling_.cInv * scaling_.e[s] * y_[s];
-        result.z[s] = scaling_.eInv[s] * z_[s];
-    }
-    info.objective = original_.objective(result.x);
+    qp_.unscale(x_, y_, z_, result.x, result.y, result.z);
+    info.objective = original.objective(result.x);
 
     if (settings_.polish && info.status == SolveStatus::Solved)
-        result.polish = polishSolution(original_, settings_, result);
+        result.polish = polishSolution(original, settings_, result);
 
     info.solveTime = solve_timer.seconds();
     info.kktSolveTime = kkt_timer.totalSeconds();

@@ -2,10 +2,11 @@
  * @file
  * From-scratch implementation of the OSQP ADMM solver (Algorithm 1).
  *
- * The solver owns the scaled problem data, per-constraint rho vector,
- * a pluggable KKT backend (direct LDL' or indirect PCG), adaptive rho,
- * Ruiz scaling and the full OSQP termination logic including
- * primal/dual infeasibility certificates.
+ * The solver owns the per-constraint rho vector, a pluggable KKT
+ * backend (direct LDL' or indirect PCG), adaptive rho and the full
+ * OSQP termination logic. The Ruiz-scaled problem (ScaledQp), the
+ * residuals and the primal/dual infeasibility certificates are the
+ * ones every engine shares.
  *
  * The parametric-update entry points (updateLinearCost, updateBounds,
  * updateMatrixValues) keep the sparsity structure fixed — the reuse
@@ -107,9 +108,6 @@ class OsqpSolver final : public QpBackend
 
     BackendKind kind() const override { return BackendKind::Admm; }
 
-    /** The scaled problem currently inside the solver (for the arch). */
-    const QpProblem& scaledProblem() const { return scaled_; }
-
     /** Per-constraint rho vector currently in use (scaled space). */
     const Vector& rhoVec() const { return rhoVec_; }
 
@@ -117,22 +115,12 @@ class OsqpSolver final : public QpBackend
     void buildRhoVec(Real rho_bar);
     void rebuildKktSolver();
 
-    /** Unscaled residuals + tolerances; fills the four outputs. */
-    void computeResiduals(const Vector& x, const Vector& y,
-                          const Vector& z, Real& prim_res, Real& dual_res,
-                          Real& eps_prim, Real& eps_dual) const;
-
-    bool checkPrimalInfeasibility(const Vector& delta_y) const;
-    bool checkDualInfeasibility(const Vector& delta_x) const;
-
     /** rho adaptation; returns true if rho changed. */
     bool adaptRho(Real prim_res, Real dual_res, const Vector& x,
                   const Vector& y, const Vector& z);
 
     OsqpSettings settings_;
-    QpProblem original_;  ///< unscaled copy (residuals, objective)
-    QpProblem scaled_;    ///< scaled in-place problem the iteration uses
-    Scaling scaling_;
+    ScaledQp qp_;  ///< unscaled and scaled problem (see ScaledQp)
     ValidationReport validation_;  ///< setup diagnostics
     Index n_ = 0;
     Index m_ = 0;

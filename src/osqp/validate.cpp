@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/logging.hpp"
 #include "osqp/problem.hpp"
 #include "osqp/settings.hpp"
 
@@ -314,6 +315,20 @@ validateSettings(const OsqpSettings& settings)
         addIssue(report, ValidationCode::InvalidSetting, msg.str());
     }
     validatePdhgKnobs(settings.firstOrder.pdhg, report);
+    return report;
+}
+
+ValidationReport
+validateSetup(const QpProblem& problem, const OsqpSettings& settings)
+{
+    ValidationReport report = validateSettings(settings);
+    ValidationReport problem_report = validateProblem(problem);
+    report.issues.insert(report.issues.end(),
+                         problem_report.issues.begin(),
+                         problem_report.issues.end());
+    if (!report.ok())
+        RSQP_WARN("problem '", problem.name, "' failed validation:\n",
+                  report.describe());
     return report;
 }
 

@@ -77,13 +77,20 @@ struct OsqpSettings;
 
 /**
  * Validate algorithm settings (alpha in (0, 2), positive rho/sigma,
- * positive iteration caps, PDHG knob ranges — checked for every
- * engine, so every engine gives the same verdict). Like
- * validateProblem this never throws:
- * a failing report turns the solve into a typed InvalidProblem result
- * — the successor of the constructor's retired RSQP_FATAL path.
+ * positive iteration caps, PDHG knob ranges, whichever engine will
+ * run). Like validateProblem this never throws.
  */
 ValidationReport validateSettings(const OsqpSettings& settings);
+
+/**
+ * The one setup check of every engine (OsqpSolver, PdhgSolver and the
+ * device's RsqpSolver): the settings issues followed by the problem
+ * issues, in one report. A failing report is logged once, and the
+ * engine comes up inert: every solve() returns a typed InvalidProblem
+ * result carrying the report, so every engine gives the same verdict.
+ */
+ValidationReport validateSetup(const QpProblem& problem,
+                               const OsqpSettings& settings);
 
 } // namespace rsqp
 

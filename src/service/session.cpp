@@ -68,10 +68,12 @@ SolverSession::rebuild(const QpProblem& problem, bool cacheable,
     auto device = std::make_unique<RsqpSolver>(problem, config_.osqp,
                                                config_.custom,
                                                std::move(artifact));
+    // An engine that rejected its settings customized nothing: it
+    // neither counts a miss nor publishes an artifact.
     if (device->customizationReused()) {
         result.cacheHit = true;
         ++stats_.cacheHits;
-    } else if (useCache) {
+    } else if (useCache && device->validation().ok()) {
         ++stats_.cacheMisses;
         cache_->insert(fp,
                        std::make_shared<CustomizationArtifact>(
@@ -159,6 +161,12 @@ SolverSession::solve(const QpProblem& problem, Real time_budget,
                                             : config_.osqp.timeLimit);
     OsqpResult run = engine_->solve();
     result.status = run.info.status;
+    if (result.status == SolveStatus::InvalidProblem) {
+        // The request was well formed, so the engine rejected its
+        // settings: hand its diagnostics to the client.
+        result.validation = std::move(run.validation);
+        ++stats_.invalidRequests;
+    }
     result.x = std::move(run.x);
     result.y = std::move(run.y);
     result.z = std::move(run.z);

@@ -102,7 +102,7 @@ struct SessionStats
     Count cacheHits = 0;         ///< path-2 requests
     Count cacheMisses = 0;       ///< path-3 requests (cache attached)
     Count warmStarts = 0;
-    Count invalidRequests = 0;
+    Count invalidRequests = 0;   ///< InvalidProblem results
     double setupSecondsTotal = 0.0;
     double solveSecondsTotal = 0.0;
 };
@@ -127,7 +127,9 @@ class SolverSession
     /**
      * Solve one request, choosing the cheapest path (see file
      * comment). Malformed problems return SolveStatus::InvalidProblem
-     * with diagnostics and leave the current solver state untouched.
+     * with diagnostics and leave the current solver state untouched;
+     * settings the engine rejects return InvalidProblem with the
+     * engine's diagnostics.
      *
      * @param time_budget Wall-clock budget in seconds for this solve
      *        (0 = the config's timeLimit). Enforced in-loop by the

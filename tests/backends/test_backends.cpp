@@ -3,7 +3,8 @@
  * Backend subsystem tests: cross-backend solution equivalence, the
  * factory's bitwise fidelity to the raw solver, Auto as a setup-time
  * pick of one engine, PDHG determinism across thread counts, settings
- * validation, and per-backend telemetry labels/counters.
+ * validation (one verdict from every engine, the device included), and
+ * per-backend telemetry labels/counters.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,11 @@
 #include "backends/backend_selector.hpp"
 #include "backends/pdhg_solver.hpp"
 #include "common/thread_pool.hpp"
+#include "core/rsqp_solver.hpp"
 #include "osqp/solver.hpp"
 #include "osqp/validate.hpp"
 #include "problems/suite.hpp"
+#include "service/session.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace rsqp
@@ -320,20 +323,28 @@ TEST(BackendValidation, PdhgKnobsGateTheSolveWithoutThrowing)
     EXPECT_FALSE(result.validation.ok());
 }
 
-TEST(BackendValidation, PdhgKnobVerdictIsTheSameForEveryEngine)
+TEST(BackendValidation, SettingsVerdictIsTheSameForEveryEngine)
 {
-    // A bad PDHG knob is a settings error whichever engine runs: the
+    // A bad setting is a settings error whichever engine runs: the
     // explicit engines, Auto at a size that picks ADMM and at one that
-    // picks PDHG, and a raw OsqpSolver all refuse the solve.
+    // picks PDHG, a raw OsqpSolver, the device's RsqpSolver and a
+    // Device session all refuse the solve. The device must refuse
+    // checkInterval = 0 before its maxIter rounding divides by it.
     const QpProblem small = generateProblem(Domain::Control, 4, 1);
     const QpProblem large = generateProblem(Domain::Control, 40, 1);
     ASSERT_EQ(chooseBackend(small), BackendKind::Admm);
     ASSERT_EQ(chooseBackend(large), BackendKind::Pdhg);
 
-    OsqpSettings settings = baseSettings();
-    settings.firstOrder.pdhg.restartBeta = 1.5;  // must be in (0, 1)
-    EXPECT_FALSE(validateSettings(settings).ok());
-
+    const struct
+    {
+        const char* name;
+        void (*spoil)(OsqpSettings&);
+    } cases[] = {
+        {"restartBeta = 1.5",  // must be in (0, 1)
+         [](OsqpSettings& s) { s.firstOrder.pdhg.restartBeta = 1.5; }},
+        {"checkInterval = 0", [](OsqpSettings& s) { s.checkInterval = 0; }},
+        {"rho = -1", [](OsqpSettings& s) { s.rho = -1.0; }},
+    };
     const struct
     {
         const QpProblem* qp;
@@ -344,17 +355,47 @@ TEST(BackendValidation, PdhgKnobVerdictIsTheSameForEveryEngine)
         {&small, BackendKind::Auto},
         {&large, BackendKind::Auto},
     };
-    for (const auto& run : runs) {
-        const OsqpResult result = solveWith(*run.qp, settings, run.kind);
-        EXPECT_EQ(result.info.status, SolveStatus::InvalidProblem)
-            << backendKindName(run.kind) << " n="
-            << run.qp->numVariables();
-        EXPECT_TRUE(result.validation.has(ValidationCode::InvalidSetting))
-            << backendKindName(run.kind);
-    }
+    const auto expectRefused = [](SolveStatus status,
+                                  const ValidationReport& report,
+                                  const char* engine) {
+        EXPECT_EQ(status, SolveStatus::InvalidProblem) << engine;
+        EXPECT_TRUE(report.has(ValidationCode::InvalidSetting)) << engine;
+    };
 
-    OsqpSolver raw(small, settings);
-    EXPECT_EQ(raw.solve().info.status, SolveStatus::InvalidProblem);
+    for (const auto& bad : cases) {
+        SCOPED_TRACE(bad.name);
+        OsqpSettings settings = baseSettings();
+        bad.spoil(settings);
+        EXPECT_FALSE(validateSettings(settings).ok());
+
+        for (const auto& run : runs) {
+            SCOPED_TRACE(run.qp->numVariables());
+            const OsqpResult result =
+                solveWith(*run.qp, settings, run.kind);
+            expectRefused(result.info.status, result.validation,
+                          backendKindName(run.kind));
+        }
+
+        OsqpSolver raw(small, settings);
+        const OsqpResult raw_result = raw.solve();
+        expectRefused(raw_result.info.status, raw_result.validation,
+                      "OsqpSolver");
+
+        CustomizeSettings custom;
+        custom.c = 16;
+        RsqpSolver device(small, settings, custom);
+        const OsqpResult device_result = device.solve();
+        expectRefused(device_result.info.status, device_result.validation,
+                      "RsqpSolver");
+
+        SessionConfig config;
+        config.osqp = settings;
+        config.custom = custom;
+        SolverSession session(config);
+        const SessionResult session_result = session.solve(small);
+        expectRefused(session_result.status, session_result.validation,
+                      "Device session");
+    }
 }
 
 TEST(BackendValidation, InvalidSolverSettingsStayNonThrowing)

@@ -20,11 +20,14 @@
 
 #include "problems/suite.hpp"
 #include "service/service.hpp"
+#include "tests/service/slot_gate.hpp"
 
 namespace rsqp
 {
 namespace
 {
+
+using test::SlotGate;
 
 SessionConfig
 deviceConfig()
@@ -50,47 +53,6 @@ classOptions(AdmissionClass cls)
     options.admissionClass = cls;
     return options;
 }
-
-/**
- * Freezes the admission queue deterministically: submits one head
- * request whose completion callback blocks the worker until
- * release(). Per-entry callbacks run before the stream releases its
- * core slot, so with maxConcurrency = 1 nothing else can dispatch
- * while the gate is held — every request submitted in between sits
- * in a queue in a fully observable state.
- */
-class SlotGate
-{
-  public:
-    SlotGate(SolverService& service, SessionId id, const QpProblem& qp)
-    {
-        // The callback keeps its own handle on the release state: the
-        // gate may be destroyed right after release(), before the
-        // worker reaches its wait.
-        std::shared_future<void> unblock = released_.get_future().share();
-        service.submitAsync(id, qp, SubmitOptions{},
-                            [this, unblock](SessionResult) {
-                                started_.set_value();
-                                unblock.wait();
-                            });
-        started_.get_future().wait();
-    }
-
-    ~SlotGate() { release(); }
-
-    void
-    release()
-    {
-        if (!released)
-            released_.set_value();
-        released = true;
-    }
-
-  private:
-    std::promise<void> started_;
-    std::promise<void> released_;
-    bool released = false;
-};
 
 TEST(Admission, PerClassBoundRejectsBeyondDepth)
 {

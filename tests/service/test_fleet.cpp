@@ -18,11 +18,14 @@
 
 #include "problems/suite.hpp"
 #include "service/service.hpp"
+#include "tests/service/slot_gate.hpp"
 
 namespace rsqp
 {
 namespace
 {
+
+using test::SlotGate;
 
 SessionConfig
 deviceConfig()
@@ -249,14 +252,19 @@ TEST(Fleet, SmallJobsFuseIntoInterleavedStreams)
     config.fleet.smallJobThreshold = 4096;  // everything is small
     SolverService service(config);
 
-    const QpProblem qp = generateProblem(Domain::Control, 30, 13);
+    const QpProblem qp = generateProblem(Domain::Control, 4, 13);
     std::vector<SessionId> ids;
     for (int i = 0; i < 16; ++i)
         ids.push_back(service.openSession(deviceConfig()));
+    // The first request holds its core's only slot, so the requests
+    // affinity routes behind it queue up before any of them runs.
+    SlotGate gate(service, ids[0], qp);
     std::vector<std::future<SessionResult>> futures;
-    for (std::size_t i = 0; i < ids.size(); ++i)
+    for (std::size_t i = 1; i < ids.size(); ++i)
         futures.push_back(service.submit(
             ids[i], withScaledCost(qp, 1.0 + 0.01 * double(i))));
+    gate.release();
+    EXPECT_EQ(gate.status(), SolveStatus::Solved);
     for (auto& future : futures)
         EXPECT_EQ(future.get().status, SolveStatus::Solved);
     service.waitIdle();

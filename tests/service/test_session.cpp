@@ -176,6 +176,30 @@ TEST(SolverSession, InvalidProblemLeavesSessionStateUntouched)
     EXPECT_TRUE(good.warmStarted);
 }
 
+TEST(SolverSession, RejectedSettingsReturnTheEngineDiagnostics)
+{
+    // A well-formed request under settings the engine rejects: on
+    // either engine the client gets the engine's InvalidSetting
+    // diagnostics, the request counts as invalid, and the inert
+    // device publishes no artifact.
+    const QpProblem qp = generateProblem(Domain::Control, 4, 13);
+    for (SessionEngine engine :
+         {SessionEngine::Host, SessionEngine::Device}) {
+        SCOPED_TRACE(engine == SessionEngine::Host ? "host" : "device");
+        SessionConfig config = deviceConfig();
+        config.engine = engine;
+        config.osqp.rho = -1.0;
+        auto cache = std::make_shared<CustomizationCache>(8);
+        SolverSession session(config, cache);
+
+        const SessionResult result = session.solve(qp);
+        EXPECT_EQ(result.status, SolveStatus::InvalidProblem);
+        EXPECT_TRUE(result.validation.has(ValidationCode::InvalidSetting));
+        EXPECT_EQ(session.stats().invalidRequests, 1);
+        EXPECT_EQ(cache->stats().size, 0u);
+    }
+}
+
 TEST(SolverSession, HostEngineSolvesAndTakesParametricPath)
 {
     SessionConfig config;
