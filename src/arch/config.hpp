@@ -11,7 +11,6 @@
 #include <string>
 
 #include "common/execution.hpp"
-#include "common/fault_injection.hpp"
 #include "common/types.hpp"
 #include "encoding/mac_structure.hpp"
 
@@ -56,13 +55,6 @@ struct ArchConfig
 
     /** Cycle-model constants. */
     ArchTimings timings;
-    /**
-     * Seeded soft-error injection into the simulated HBM streams and
-     * MAC-tree outputs (fault-tolerance testing only; off by default).
-     * Fault positions are a pure function of (seed, run, stream,
-     * word), so an injected run is reproducible at any numThreads.
-     */
-    FaultInjectionConfig faultInjection;
 
     /** "C{...}" plus a CVB tag, e.g. "16{16a1e}+cvb". */
     std::string

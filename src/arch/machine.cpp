@@ -19,9 +19,6 @@ Machine::Machine(ArchConfig config)
                 "datapath width must be a power of two <= 64");
     RSQP_ASSERT(config_.structures.c() == config_.c,
                 "structure set width must match the datapath");
-    if (config_.faultInjection.enabled)
-        faultInjector_ =
-            std::make_unique<FaultInjector>(config_.faultInjection);
     scalars_.fill(0.0);
 }
 
@@ -209,19 +206,7 @@ Machine::execSpmv(const Instruction& instr)
         static_cast<Index>(matrix.chainStarts.size());
     const auto num_segments = static_cast<Index>(matrix.segments.size());
 
-    // Soft-error model for the matrix stream: faults land on the HBM
-    // words as they are burst in, i.e. per flat position — decided up
-    // front on the dispatch thread so the parallel chain walk below
-    // sees one consistent corrupted stream at every numThreads.
-    const std::vector<Real>* stream_values = &matrix.flatValues;
-    Vector corrupted_values;
-    if (faultInjector_ != nullptr) {
-        corrupted_values = matrix.flatValues;
-        faultInjector_->corruptVector(
-            corrupted_values, fault_streams::kSpmvValues + faultNonce_++);
-        stream_values = &corrupted_values;
-    }
-    const std::vector<Real>& values = *stream_values;
+    const std::vector<Real>& values = matrix.flatValues;
 
     // Execute the accumulation chains [cb, ce) in stream order. Chains
     // are mutually independent (no carry crosses a chain start, each
@@ -285,12 +270,6 @@ Machine::execSpmv(const Instruction& instr)
         run_chains(0, num_chains);
     }
 
-    // Soft-error model for the MAC-tree accumulation: the emitted
-    // partial sums pass through the output register file.
-    if (faultInjector_ != nullptr)
-        faultInjector_->corruptVector(
-            dst, fault_streams::kMacOutput + faultNonce_++);
-
     stats_.spmvPacks += matrix.packCount;
     charge(InstrClass::SpMV,
            matrix.packCount + config_.timings.spmvLatency);
@@ -304,11 +283,6 @@ Machine::run(const Program& program, Count max_instructions)
     // the ambient default and 1 forces the legacy serial walk.
     NumThreadsScope threads_scope(config_.execution.numThreads);
     const auto& timings = config_.timings;
-
-    // Fresh deterministic fault pattern per run, so a host-level retry
-    // of a corrupted run can actually succeed.
-    if (faultInjector_ != nullptr)
-        faultInjector_->advanceEpoch();
 
     // Download the instruction ROM from HBM (paper Sec. 3.5): one
     // instruction word per cycle after the first-word latency.
@@ -407,11 +381,6 @@ Machine::run(const Program& program, Count max_instructions)
             RSQP_ASSERT(src.size() == dst.size(),
                         "ldv: length mismatch");
             dst = src;
-            // Soft-error model: the HBM read burst may deliver
-            // corrupted words into the on-chip buffer.
-            if (faultInjector_ != nullptr)
-                faultInjector_->corruptVector(
-                    dst, fault_streams::kHbmLoad + faultNonce_++);
             charge(InstrClass::DataTransfer,
                    vectorOpCycles(static_cast<Index>(dst.size())) +
                        timings.hbmLatency);
@@ -423,11 +392,6 @@ Machine::run(const Program& program, Count max_instructions)
                         "stv: bad HBM region");
             const Vector& src = vec(instr.a);
             hbm_[static_cast<std::size_t>(instr.dst)] = src;
-            // Soft-error model: the write burst back to HBM.
-            if (faultInjector_ != nullptr)
-                faultInjector_->corruptVector(
-                    hbm_[static_cast<std::size_t>(instr.dst)],
-                    fault_streams::kHbmStore + faultNonce_++);
             charge(InstrClass::DataTransfer,
                    vectorOpCycles(static_cast<Index>(src.size())) +
                        timings.hbmLatency);

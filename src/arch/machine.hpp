@@ -22,7 +22,6 @@
 #define RSQP_ARCH_MACHINE_HPP
 
 #include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,12 +89,6 @@ class Machine
 
     const MachineStats& stats() const { return stats_; }
     void resetStats() { stats_ = MachineStats{}; }
-
-    /** Soft-error injector (nullptr unless config enables it). */
-    const FaultInjector* faultInjector() const
-    {
-        return faultInjector_.get();
-    }
 
     // --- Profiling -------------------------------------------------------
 
@@ -165,14 +158,6 @@ class Machine
     std::size_t lastPc_ = 0;  ///< pc whose cost charge() attributes
 
     ArchConfig config_;
-    std::unique_ptr<FaultInjector> faultInjector_;
-    /**
-     * Monotonic per-injected-instruction offset mixed into the stream
-     * tag so repeated executions of one instruction see independent
-     * fault draws. Bumped only on the in-order dispatch thread, so
-     * fault patterns are identical at every numThreads.
-     */
-    std::uint64_t faultNonce_ = 0;
     std::vector<Vector> vectors_;
     std::vector<std::string> vectorNames_;
     std::vector<CompiledMatrix> matrices_;

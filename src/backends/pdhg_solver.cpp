@@ -53,10 +53,6 @@ PdhgSolver::PdhgSolver(QpProblem problem, OsqpSettings settings)
         return;
     }
 
-    if (settings_.faultInjection.enabled)
-        faultInjector_ =
-            std::make_unique<FaultInjector>(settings_.faultInjection);
-
     qp_ = ScaledQp(std::move(problem), settings_.scalingIterations);
     n_ = qp_.original().numVariables();
     m_ = qp_.original().numConstraints();
@@ -224,20 +220,7 @@ PdhgSolver::solve()
     const QpProblem& original = qp_.original();
     const QpProblem& scaled = qp_.scaled();
 
-    // Soft-error source for the operator stream (tests/bench only);
-    // each solve sees a fresh deterministic fault pattern.
-    FaultScope fault_scope(faultInjector_.get());
-    if (faultInjector_ != nullptr)
-        faultInjector_->advanceEpoch();
-    FaultInjector* injector = activeFaultInjector();
-    const std::uint64_t call_offset =
-        injector != nullptr ? injector->acquireNonce() << 20 : 0;
-    const Count faults_before = faultInjector_ != nullptr
-                                    ? faultInjector_->faultsInjected()
-                                    : 0;
-
-    const FaultToleranceSettings& ft = settings_.faultTolerance;
-    DivergenceWatchdog watchdog(ft);
+    DivergenceWatchdog watchdog;
     IterateCheckpoint checkpoint;
     Index recovery_attempts = 0;
     Count restarts = 0;
@@ -293,7 +276,7 @@ PdhgSolver::solve()
     // the PDHG analog of the ADMM sigma boost is halving both steps
     // (their product condition keeps holding with extra slack).
     const auto try_recover = [&](Index iter, const char* trigger) {
-        if (!ft.watchdog || recovery_attempts >= ft.maxRecoveryAttempts)
+        if (recovery_attempts >= kMaxRecoveryAttempts)
             return false;
         ++recovery_attempts;
         roll_back();
@@ -333,13 +316,6 @@ PdhgSolver::solve()
         // Primal step: x+ = x - tau (P x + q + A' y).
         pCsr_.spmv(x_, px);
         atCsr_.spmv(y_, aty);
-        if (injector != nullptr) {
-            // Same hook shape as the PCG operator stream: a per-call
-            // offset keeps a word position from being deterministically
-            // faulty on every application of the operator.
-            injector->corruptVector(px, fault_streams::kPdhgOperator +
-                                            call_offset + iter);
-        }
         const Real tau = tau_;
         parallelForRange(n_, [&](Index jb, Index je) {
             for (Index j = jb; j < je; ++j) {
@@ -437,23 +413,21 @@ PdhgSolver::solve()
             result.trace.push_back(rec);
         }
 
-        if (ft.watchdog) {
-            const DivergenceWatchdog::Verdict verdict =
-                watchdog.observe(res.primRes, res.dualRes);
-            if (verdict == DivergenceWatchdog::Verdict::Diverged) {
-                if (try_recover(iter, "residual divergence"))
-                    continue;
-                roll_back();
-                info.status = SolveStatus::NumericalError;
-                break;
-            }
-            if (verdict == DivergenceWatchdog::Verdict::Stalled) {
-                if (try_recover(iter, "residual stall"))
-                    continue;
-            } else {
-                Vector z_dummy;
-                checkpoint.capture(x_, y_, z_dummy, iter);
-            }
+        const DivergenceWatchdog::Verdict verdict =
+            watchdog.observe(res.primRes, res.dualRes);
+        if (verdict == DivergenceWatchdog::Verdict::Diverged) {
+            if (try_recover(iter, "residual divergence"))
+                continue;
+            roll_back();
+            info.status = SolveStatus::NumericalError;
+            break;
+        }
+        if (verdict == DivergenceWatchdog::Verdict::Stalled) {
+            if (try_recover(iter, "residual stall"))
+                continue;
+        } else {
+            Vector z_dummy;
+            checkpoint.capture(x_, y_, z_dummy, iter);
         }
 
         if (res.converged()) {
@@ -602,9 +576,6 @@ PdhgSolver::solve()
     tele.isaLevel = isaLevelName(simd::activeIsaLevel());
     tele.recoveryEvents =
         static_cast<Count>(info.recovery.events.size());
-    tele.faultsInjected = faultInjector_ != nullptr
-        ? faultInjector_->faultsInjected() - faults_before
-        : 0;
     tele.solveSeconds = info.solveTime;
     {
         using telemetry::MetricsRegistry;

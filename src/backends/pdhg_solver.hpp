@@ -26,18 +26,16 @@
  * Everything runs on the shared deterministic kernels: CSR-mirror
  * SpMV (SIMD row-gather), fixed-grain chunked reductions and
  * parallelForRange element updates — results are bitwise-identical at
- * any thread count and ISA level. The divergence watchdog, iterate
- * checkpoint and seeded fault injection hook in exactly like the ADMM
- * loop, and solve() returns the standard OsqpResult contract.
+ * any thread count and ISA level. The divergence watchdog and iterate
+ * checkpoint hook in exactly like the ADMM loop (a step backoff takes
+ * the place of the sigma boost), and solve() returns the standard
+ * OsqpResult contract.
  */
 
 #ifndef RSQP_BACKENDS_PDHG_SOLVER_HPP
 #define RSQP_BACKENDS_PDHG_SOLVER_HPP
 
-#include <memory>
-
 #include "backends/qp_backend.hpp"
-#include "common/fault_injection.hpp"
 #include "linalg/csr.hpp"
 #include "osqp/scaling.hpp"
 
@@ -113,8 +111,6 @@ class PdhgSolver final : public QpBackend
     Real omega_ = 1.0;  ///< primal weight (persists across solves)
     Real tau_ = 0.0;    ///< primal step
     Real sigma_ = 0.0;  ///< dual step
-
-    std::unique_ptr<FaultInjector> faultInjector_;
 
     // Scaled-space iterates (persist across solves for warm starting).
     Vector x_, y_;

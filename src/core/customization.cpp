@@ -157,7 +157,6 @@ customizeProblem(const QpProblem& scaled, const CustomizeSettings& settings)
     customization.config.fp32Datapath = settings.fp32Datapath;
     customization.config.execution.numThreads =
         settings.execution.numThreads;
-    customization.config.faultInjection = settings.faultInjection;
 
     customization.p =
         buildArtifacts("P", p_csr, set, settings.compressCvb);
@@ -289,7 +288,6 @@ thawCustomization(const QpProblem& scaled,
     customization.config = artifact.config;
     customization.config.execution.numThreads =
         settings.execution.numThreads;
-    customization.config.faultInjection = settings.faultInjection;
 
     const StructureSet& set = customization.config.structures;
     const CsrMatrix at_csr = CsrMatrix::fromCsc(scaled.a.transpose());

@@ -52,9 +52,6 @@ struct CustomizeSettings
     bool fp32Datapath = false;        ///< FP32 MAC trees (the silicon)
     /** Execution resources for the simulation host. */
     ExecutionConfig execution;
-
-    /** Seeded HBM/MAC soft-error injection (testing only). */
-    FaultInjectionConfig faultInjection;
     StructureSearchSettings search;   ///< E_p search knobs
     /** Explicit structure set (bypasses the search when non-empty). */
     std::vector<std::string> forcedPatterns;
@@ -111,9 +108,9 @@ struct FrozenMatrixArtifact
 struct CustomizationArtifact
 {
     /**
-     * The generated architecture. numThreads and faultInjection are
-     * per-instance host knobs, overwritten at thaw time from the
-     * caller's settings; everything else is part of the frozen design.
+     * The generated architecture. numThreads is a per-instance host
+     * knob, overwritten at thaw time from the caller's settings;
+     * everything else is part of the frozen design.
      */
     ArchConfig config;
     FrozenMatrixArtifact p;
@@ -141,9 +138,9 @@ freezeCustomization(const ProblemCustomization& custom);
  * bitwise-identical to customizeProblem(scaled, settings) — asserted
  * by the service tests — at O(nnz) cost instead of the full search.
  *
- * @param settings Supplies the per-instance host knobs (numThreads,
- *        faultInjection); its structural knobs (c, optimization flags)
- *        must match the artifact (see compatibleWith).
+ * @param settings Supplies the per-instance host knob (numThreads);
+ *        its structural knobs (c, optimization flags) must match the
+ *        artifact (see compatibleWith).
  */
 ProblemCustomization
 thawCustomization(const QpProblem& scaled,

@@ -7,7 +7,6 @@
 #include "common/timer.hpp"
 #include "hwmodel/resources.hpp"
 #include "linalg/vector_ops.hpp"
-#include "osqp/residuals.hpp"
 #include "osqp/validate.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -175,72 +174,40 @@ RsqpSolver::solve()
     const Index n = original.numVariables();
     const Index m = original.numConstraints();
 
-    // A corrupted device run can leave any scalar register non-finite;
-    // screen before the (undefined-behavior) float->int casts below.
+    // Casting a non-finite or out-of-range float to an integer is
+    // undefined behavior, so the counter registers are clamped before
+    // the casts below. The device program only ever adds 1 to them, so
+    // they hold small integers and the clamp never changes a value.
     const auto scalar_or = [&](Index id, Real fallback) {
         const Real v = machine_->scalarValue(id);
         return std::isfinite(v) ? clampReal(v, 0.0, 1e12) : fallback;
     };
 
     machine_->resetStats();
+    machine_->run(prog_.program);
 
-    // Under fault injection the run is retried once: each run() draws
-    // a fresh deterministic fault pattern, so a transient soft error
-    // does not condemn the solve. Cycle counts accumulate across
-    // attempts — the retry cost is real device time.
-    const FaultInjector* injector = machine_->faultInjector();
-    const Index max_attempts = injector != nullptr ? 2 : 1;
-    const Count faults_before =
-        injector != nullptr ? injector->faultsInjected() : 0;
+    const Vector& xs = machine_->hbmValue(prog_.hbmXOut);
+    const Vector& ys = machine_->hbmValue(prog_.hbmYOut);
+    const Vector& zs = machine_->hbmValue(prog_.hbmZOut);
+    qp_.unscale(xs, ys, zs, result.x, result.y, result.z);
 
-    for (Index attempt = 1; attempt <= max_attempts; ++attempt) {
-        machine_->run(prog_.program);
+    info.status = machine_->scalarValue(prog_.sStatus) > 0.5
+        ? SolveStatus::Solved
+        : SolveStatus::MaxIterReached;
+    info.iterations =
+        static_cast<Index>(scalar_or(prog_.sIterations, 0.0));
+    info.pcgIterationsTotal =
+        static_cast<Count>(scalar_or(prog_.sPcgTotal, 0.0));
+    info.rhoUpdates =
+        static_cast<Index>(scalar_or(prog_.sRhoUpdates, 0.0));
+    info.primRes = machine_->scalarValue(prog_.sPrimRes);
+    info.dualRes = machine_->scalarValue(prog_.sDualRes);
 
-        const Vector& xs = machine_->hbmValue(prog_.hbmXOut);
-        const Vector& ys = machine_->hbmValue(prog_.hbmYOut);
-        const Vector& zs = machine_->hbmValue(prog_.hbmZOut);
-        qp_.unscale(xs, ys, zs, result.x, result.y, result.z);
-
-        info.status = machine_->scalarValue(prog_.sStatus) > 0.5
-            ? SolveStatus::Solved
-            : SolveStatus::MaxIterReached;
-        info.iterations =
-            static_cast<Index>(scalar_or(prog_.sIterations, 0.0));
-        info.pcgIterationsTotal =
-            static_cast<Count>(scalar_or(prog_.sPcgTotal, 0.0));
-        info.rhoUpdates =
-            static_cast<Index>(scalar_or(prog_.sRhoUpdates, 0.0));
-        info.primRes = machine_->scalarValue(prog_.sPrimRes);
-        info.dualRes = machine_->scalarValue(prog_.sDualRes);
-
-        bool healthy = !(hasNonFinite(result.x) ||
-                         hasNonFinite(result.y) ||
-                         hasNonFinite(result.z));
-        if (healthy && injector != nullptr &&
-            info.status == SolveStatus::Solved) {
-            // The device's own convergence verdict rides on registers
-            // the injector may have corrupted — re-verify on the host.
-            const ResidualInfo res = computeResiduals(
-                original, result.x, result.y, result.z,
-                settings_.epsAbs, settings_.epsRel);
-            info.primRes = res.primRes;
-            info.dualRes = res.dualRes;
-            healthy = res.converged();
-        }
-        if (healthy)
-            break;
-
-        if (attempt < max_attempts) {
-            info.recovery.record(
-                RecoveryAction::FaultRetry, info.iterations,
-                "device run returned non-finite or unverifiable "
-                "results");
-            ++info.recovery.faultRetries;
-            continue;
-        }
-
-        // Out of retries: hand back finite zeros with a typed failure,
-        // never a poisoned vector.
+    // The device has no watchdog: a diverging run (an indefinite P
+    // that passes validation, say) overflows its iterates. Hand back
+    // finite zeros with a typed failure, never a poisoned vector.
+    if (hasNonFinite(result.x) || hasNonFinite(result.y) ||
+        hasNonFinite(result.z)) {
         result.x.assign(static_cast<std::size_t>(n), 0.0);
         result.y.assign(static_cast<std::size_t>(m), 0.0);
         result.z.assign(static_cast<std::size_t>(m), 0.0);
@@ -270,11 +237,6 @@ RsqpSolver::solve()
     tele.pushResidual(info.iterations, info.primRes, info.dualRes);
     tele.recoveryEvents =
         static_cast<Count>(info.recovery.events.size());
-    // The injector counts over the machine's lifetime; report this
-    // solve's share, as the host engines do.
-    tele.faultsInjected = injector != nullptr
-        ? injector->faultsInjected() - faults_before
-        : 0;
     tele.solveSeconds = info.solveTime;
 
     {
@@ -286,15 +248,9 @@ RsqpSolver::solve()
             telemetry::MetricsRegistry::global().counter(
                 "rsqp_device_iterations_total",
                 "ADMM iterations executed on the simulated device");
-        static telemetry::Counter& retries =
-            telemetry::MetricsRegistry::global().counter(
-                "rsqp_device_fault_retries_total",
-                "Device runs retried after corrupted results");
         solves.increment();
         iters.add(static_cast<std::uint64_t>(
             std::max<Index>(info.iterations, 0)));
-        retries.add(static_cast<std::uint64_t>(
-            std::max<Count>(info.recovery.faultRetries, 0)));
     }
     return result;
 }

@@ -19,8 +19,6 @@ toString(RecoveryAction action)
         return "checkpoint-restore";
     case RecoveryAction::SigmaBoost:
         return "sigma-boost";
-    case RecoveryAction::FaultRetry:
-        return "fault-retry";
     }
     return "unknown";
 }
@@ -56,7 +54,6 @@ RecoveryReport::summary() const
     append(pcgFallbacks, "pcg fallback");
     append(checkpointRestores, "checkpoint restore");
     append(sigmaBoosts, "sigma boost");
-    append(faultRetries, "fault retry");
     if (out.empty())
         out = std::to_string(events.size()) + " recovery events";
     return out;
@@ -82,12 +79,6 @@ IterateCheckpoint::restore(Vector& x, Vector& y, Vector& z) const
     z = z_;
 }
 
-DivergenceWatchdog::DivergenceWatchdog(
-    const FaultToleranceSettings& settings)
-    : settings_(settings)
-{
-}
-
 DivergenceWatchdog::Verdict
 DivergenceWatchdog::observe(Real prim_res, Real dual_res)
 {
@@ -104,13 +95,11 @@ DivergenceWatchdog::observe(Real prim_res, Real dual_res)
     // The epsilon floor keeps a tiny best score (already at solver
     // tolerance) from flagging every later observation as divergence.
     if (bestScore_ < kInf &&
-        score > settings_.divergenceFactor *
-                    std::max(bestScore_, Real(1e-12)))
+        score > kDivergenceFactor * std::max(bestScore_, Real(1e-12)))
         return Verdict::Diverged;
 
     ++checksSinceImprovement_;
-    if (settings_.stallChecks > 0 &&
-        checksSinceImprovement_ >= settings_.stallChecks) {
+    if (checksSinceImprovement_ >= kStallChecks) {
         checksSinceImprovement_ = 0;
         return Verdict::Stalled;
     }

@@ -1,14 +1,19 @@
 /**
  * @file
- * Numerical-failure recovery machinery of the ADMM loop: the
+ * Numerical-failure recovery machinery of the ADMM and PDHG loops: the
  * divergence watchdog, the last-good iterate checkpoint, and the
  * RecoveryReport that records every recovery action a solve took
- * (PCG→LDL fallback, checkpoint restore, sigma boost, device retry).
+ * (PCG→LDL′ fallback, checkpoint restore, sigma boost or PDHG step
+ * backoff).
  *
- * The design goal is *bounded, typed* behavior under numerical stress:
- * a solve either converges (possibly after recovery, all attempts on
- * record) or terminates with a typed failure status and finite
- * iterates — never a NaN result, never a hang.
+ * Each mechanism fires on real input, with no fault model behind it:
+ * an indefinite P that passes validation (nonnegative diagonal) breaks
+ * PCG down and blows the ADMM and PDHG residuals up, and
+ * primal-infeasible problems stall them. The design goal is
+ * *bounded, typed* behavior under that stress: a solve either
+ * converges (possibly after recovery, all attempts on record) or
+ * terminates with a typed failure status and finite iterates — never
+ * a NaN result, never a hang.
  */
 
 #ifndef RSQP_OSQP_RECOVERY_HPP
@@ -28,7 +33,6 @@ enum class RecoveryAction
     PcgDirectFallback,  ///< PCG broke down; the LDL' path solved the step
     CheckpointRestore,  ///< diverged; rolled back to the last-good iterate
     SigmaBoost,         ///< retried with boosted sigma regularization
-    FaultRetry,         ///< device run produced non-finite data; re-ran
 };
 
 /** Printable name of a recovery action. */
@@ -49,7 +53,6 @@ struct RecoveryReport
     Index pcgFallbacks = 0;       ///< KKT steps solved by the LDL' path
     Index checkpointRestores = 0; ///< divergence rollbacks
     Index sigmaBoosts = 0;        ///< regularization escalations
-    Index faultRetries = 0;       ///< full device-run retries
 
     bool empty() const { return events.empty(); }
 
@@ -61,40 +64,27 @@ struct RecoveryReport
     std::string summary() const;
 };
 
-/** Watchdog thresholds and recovery policy knobs. */
-struct FaultToleranceSettings
-{
-    /**
-     * Master switch for the divergence watchdog and the
-     * checkpoint/restore recovery path. When false the solver keeps
-     * the legacy behavior: a non-finite iterate at a termination
-     * check reports NumericalError immediately with no rollback.
-     */
-    bool watchdog = true;
+/**
+ * Declare divergence when the combined residual exceeds the best
+ * combined residual seen so far by this factor (or goes non-finite).
+ * Conservative by design: transient residual bumps from rho updates
+ * are orders of magnitude smaller.
+ */
+inline constexpr Real kDivergenceFactor = 1e6;
 
-    /**
-     * Declare divergence when the combined residual exceeds the best
-     * combined residual seen so far by this factor (or goes
-     * non-finite). Conservative by design: transient residual bumps
-     * from rho updates are orders of magnitude smaller.
-     */
-    Real divergenceFactor = 1e6;
+/**
+ * Declare a stall after this many consecutive termination checks
+ * without any improvement of the best combined residual. A stall
+ * triggers the same checkpoint recovery, then the solve is left to run
+ * to its iteration budget.
+ */
+inline constexpr Index kStallChecks = 40;
 
-    /**
-     * Declare a stall after this many consecutive termination checks
-     * without any improvement of the best combined residual
-     * (0 disables stall detection). A stall triggers the same
-     * checkpoint+sigma recovery once, then the solve is left to run
-     * to its iteration budget.
-     */
-    Index stallChecks = 40;
+/** Checkpoint-restore attempts per solve before giving up. */
+inline constexpr Index kMaxRecoveryAttempts = 1;
 
-    /** Checkpoint-restore attempts before giving up. */
-    Index maxRecoveryAttempts = 1;
-
-    /** Multiplier applied to sigma on every checkpoint restore. */
-    Real sigmaBoost = 1e3;
-};
+/** Multiplier applied to the ADMM sigma on a checkpoint restore. */
+inline constexpr Real kSigmaBoost = 1e3;
 
 /** Last-good iterate snapshot used by the divergence recovery path. */
 class IterateCheckpoint
@@ -126,11 +116,9 @@ class DivergenceWatchdog
     enum class Verdict
     {
         Ok,        ///< residuals healthy (new checkpoint candidate)
-        Stalled,   ///< no progress for stallChecks checks
+        Stalled,   ///< no progress for kStallChecks checks
         Diverged,  ///< non-finite or blown up vs. the best seen
     };
-
-    explicit DivergenceWatchdog(const FaultToleranceSettings& settings);
 
     /** Feed one residual observation; returns the verdict. */
     Verdict observe(Real prim_res, Real dual_res);
@@ -141,7 +129,6 @@ class DivergenceWatchdog
     Real bestScore() const { return bestScore_; }
 
   private:
-    FaultToleranceSettings settings_;
     Real bestScore_ = kInf;
     Index checksSinceImprovement_ = 0;
 };

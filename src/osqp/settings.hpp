@@ -9,9 +9,7 @@
 
 #include "backends/backend_config.hpp"
 #include "common/execution.hpp"
-#include "common/fault_injection.hpp"
 #include "common/types.hpp"
-#include "osqp/recovery.hpp"
 #include "solvers/ordering.hpp"
 #include "solvers/pcg.hpp"
 
@@ -79,15 +77,6 @@ struct OsqpSettings
      * (finite) iterates.
      */
     Real timeLimit = 0.0;
-
-    /** Divergence watchdog thresholds and recovery policy. */
-    FaultToleranceSettings faultTolerance;
-
-    /**
-     * Seeded soft-error injection into the software PCG operator
-     * stream (testing/bench only; disabled by default).
-     */
-    FaultInjectionConfig faultInjection;
 
     /**
      * First-order engine selection (makeBackend factory) plus the

@@ -33,10 +33,6 @@ OsqpSolver::OsqpSolver(QpProblem problem, OsqpSettings settings)
         return;
     }
 
-    if (settings_.faultInjection.enabled)
-        faultInjector_ =
-            std::make_unique<FaultInjector>(settings_.faultInjection);
-
     qp_ = ScaledQp(std::move(problem), settings_.scalingIterations);
     n_ = qp_.original().numVariables();
     m_ = qp_.original().numConstraints();
@@ -209,19 +205,9 @@ OsqpSolver::solve()
         rebuildKktSolver();
     }
 
-    // Soft-error source for the software PCG path (tests/bench only);
-    // each solve sees a fresh deterministic fault pattern.
-    FaultScope fault_scope(faultInjector_.get());
-    if (faultInjector_ != nullptr)
-        faultInjector_->advanceEpoch();
-
-    const FaultToleranceSettings& ft = settings_.faultTolerance;
-    DivergenceWatchdog watchdog(ft);
+    DivergenceWatchdog watchdog;
     IterateCheckpoint checkpoint;
     Index recovery_attempts = 0;
-    const Count faults_before = faultInjector_ != nullptr
-                                    ? faultInjector_->faultsInjected()
-                                    : 0;
 
     Vector rhs_x(static_cast<std::size_t>(n_));
     Vector rhs_z(static_cast<std::size_t>(m_));
@@ -249,14 +235,14 @@ OsqpSolver::solve()
     };
 
     // One checkpoint-restore + sigma-boost recovery attempt. Returns
-    // false when the watchdog is off or the attempt budget is spent —
-    // the caller then terminates with a typed failure.
+    // false when the attempt budget is spent — the caller then
+    // terminates with a typed failure.
     const auto try_recover = [&](Index iter, const char* trigger) {
-        if (!ft.watchdog || recovery_attempts >= ft.maxRecoveryAttempts)
+        if (recovery_attempts >= kMaxRecoveryAttempts)
             return false;
         ++recovery_attempts;
         roll_back();
-        sigmaEff_ *= ft.sigmaBoost;
+        sigmaEff_ *= kSigmaBoost;
         rebuildKktSolver();
         watchdog.reset();
         info.recovery.record(RecoveryAction::CheckpointRestore, iter,
@@ -371,24 +357,22 @@ OsqpSolver::solve()
             result.trace.push_back(rec);
         }
 
-        if (ft.watchdog) {
-            const DivergenceWatchdog::Verdict verdict =
-                watchdog.observe(res.primRes, res.dualRes);
-            if (verdict == DivergenceWatchdog::Verdict::Diverged) {
-                if (try_recover(iter, "residual divergence"))
-                    continue;
-                roll_back();
-                info.status = SolveStatus::NumericalError;
-                break;
-            }
-            if (verdict == DivergenceWatchdog::Verdict::Stalled) {
-                // One recovery shot; out of attempts the solve just
-                // runs to its iteration budget.
-                if (try_recover(iter, "residual stall"))
-                    continue;
-            } else {
-                checkpoint.capture(x_, y_, z_, iter);
-            }
+        const DivergenceWatchdog::Verdict verdict =
+            watchdog.observe(res.primRes, res.dualRes);
+        if (verdict == DivergenceWatchdog::Verdict::Diverged) {
+            if (try_recover(iter, "residual divergence"))
+                continue;
+            roll_back();
+            info.status = SolveStatus::NumericalError;
+            break;
+        }
+        if (verdict == DivergenceWatchdog::Verdict::Stalled) {
+            // One recovery shot; out of attempts the solve just runs
+            // to its iteration budget.
+            if (try_recover(iter, "residual stall"))
+                continue;
+        } else {
+            checkpoint.capture(x_, y_, z_, iter);
         }
 
         if (check_now) {
@@ -425,8 +409,8 @@ OsqpSolver::solve()
     }
 
     // Exit paths that break out between termination checks (time
-    // limit, iteration cap) may carry iterates an injected fault
-    // poisoned after the last screen — never return them.
+    // limit, iteration cap) may carry iterates that went non-finite
+    // after the last screen — never return them.
     if (hasNonFinite(x_) || hasNonFinite(y_) || hasNonFinite(z_)) {
         roll_back();
         if (info.status != SolveStatus::TimeLimitReached)
@@ -457,9 +441,6 @@ OsqpSolver::solve()
     tele.isaLevel = isaLevelName(simd::activeIsaLevel());
     tele.recoveryEvents =
         static_cast<Count>(info.recovery.events.size());
-    tele.faultsInjected = faultInjector_ != nullptr
-        ? faultInjector_->faultsInjected() - faults_before
-        : 0;
     tele.solveSeconds = info.solveTime;
     {
         using telemetry::MetricsRegistry;

@@ -22,7 +22,6 @@
 #include <memory>
 
 #include "backends/qp_backend.hpp"
-#include "common/fault_injection.hpp"
 #include "osqp/problem.hpp"
 #include "osqp/recovery.hpp"
 #include "osqp/scaling.hpp"
@@ -130,9 +129,6 @@ class OsqpSolver final : public QpBackend
      * checkpoint-restore recovery boosts it; reset on the next solve.
      */
     Real sigmaEff_ = 1e-6;
-
-    /** Seeded soft-error source (only when settings enable it). */
-    std::unique_ptr<FaultInjector> faultInjector_;
 
     Real rhoBar_ = 0.1;  ///< current scalar rho before per-constraint map
     Vector rhoVec_;

@@ -74,8 +74,8 @@ StructureFingerprint fingerprintStructure(const QpProblem& problem);
  * Fingerprint the structure *and* the customization knobs that change
  * the generated architecture (c, E_p/E_c switches, FP32 datapath,
  * forced patterns, search budgets) — the key of the customization
- * cache. Per-instance host knobs (numThreads, fault injection) are
- * deliberately excluded: they do not alter the frozen artifact.
+ * cache. The per-instance host knob numThreads is deliberately
+ * excluded: it does not alter the frozen artifact.
  */
 StructureFingerprint
 fingerprintCustomization(const QpProblem& problem,

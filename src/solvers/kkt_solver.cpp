@@ -130,8 +130,6 @@ IndirectKktSolver::solveWithFallback(const Vector& rhs_x,
                                      const Vector& rhs_z, Vector& x_tilde,
                                      Vector& z_tilde)
 {
-    if (!pcgSettings_.directFallback)
-        return false;
     if (fallback_ == nullptr) {
         try {
             fallback_ = std::make_unique<DirectKktSolver>(

@@ -137,8 +137,8 @@ class IndirectKktSolver : public KktSolver
   private:
     /**
      * Solve this step with a lazily constructed DirectKktSolver.
-     * Returns false if the fallback is disabled or its factorization
-     * fails (the caller keeps the PCG iterate and its breakdown tag).
+     * Returns false if its factorization fails (the caller keeps the
+     * PCG iterate and its breakdown tag).
      */
     bool solveWithFallback(const Vector& rhs_x, const Vector& rhs_z,
                            Vector& x_tilde, Vector& z_tilde);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/fault_injection.hpp"
 #include "common/logging.hpp"
 #include "linalg/vector_ops.hpp"
 #include "telemetry/trace.hpp"
@@ -102,19 +101,8 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
     const Real threshold =
         std::max(settings.epsAbs, settings.epsRel * b_norm);
 
-    FaultInjector* injector = activeFaultInjector();
-    // Per-call offset: successive pcgSolve calls (one per ADMM
-    // iteration) must draw independent fault patterns, or one bad
-    // word would break down every KKT solve of the run identically.
-    const std::uint64_t call_offset =
-        injector != nullptr ? injector->acquireNonce() << 20 : 0;
-
-    // r0 = b - K x0 (the corruption hook sees the raw operator output,
-    // exactly as it did on the retired r = K x - b convention).
+    // r0 = b - K x0.
     apply_k(x, r);
-    if (injector != nullptr)
-        injector->corruptVector(r,
-                                fault_streams::kPcgOperator + call_offset);
     axpby(1.0, b, -1.0, r, r);
 
     Real r_norm = inPhase("pcg.reduction", [&] { return norm2(r); });
@@ -141,19 +129,11 @@ pcgSolveImpl(ApplyK&& apply_k, const JacobiPreconditioner& precond,
     Index iters_without_progress = 0;
     for (Index iter = 0; iter < settings.maxIter; ++iter) {
         apply_k(p, kp);
-        // Soft-error hook on the operator output stream — the software
-        // twin of the MAC-tree injection in arch/machine.cpp. The
-        // per-iteration offset keeps one word position from being
-        // deterministically faulty on every application of K.
-        if (injector != nullptr)
-            injector->corruptVector(
-                kp, fault_streams::kPcgOperator + call_offset +
-                        static_cast<std::uint64_t>(iter) + 1);
         const Real pkp =
             inPhase("pcg.reduction", [&] { return dot(p, kp); });
         if (!std::isfinite(pkp) || pkp <= 0.0) {
-            // Indefinite or corrupted direction: K stopped acting
-            // positive definite on this Krylov subspace.
+            // Indefinite direction: K stopped acting positive definite
+            // on this Krylov subspace.
             RSQP_WARN("pcg: non-positive curvature ", pkp, "; aborting");
             result.breakdown = PcgBreakdown::IndefiniteDirection;
             break;

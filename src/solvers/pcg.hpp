@@ -63,18 +63,10 @@ struct PcgSettings
      * iterations without the residual norm improving on its best by
      * at least 0.1% (0 disables the check). Distinct from a clean
      * maxIter cap-out: stagnation means the Krylov recurrence has
-     * stopped making progress (lost conjugacy, corrupted operator)
+     * stopped making progress (lost conjugacy, an indefinite K)
      * and more iterations cannot help.
      */
     Index stagnationWindow = 250;
-
-    /**
-     * Let IndirectKktSolver answer a broken-down PCG solve with the
-     * DirectKktSolver LDL' path for that step (the PCG warm start is
-     * then re-seeded from the direct solution). A clean maxIter
-     * cap-out never triggers the fallback — only a breakdown does.
-     */
-    bool directFallback = true;
 };
 
 /** Why a PCG solve gave up before converging. */

@@ -37,7 +37,6 @@ SolveTelemetry::toJson() const
        << ",\"pcg_iters_per_solve\":" << pcgItersPerSolve
        << ",\"isa_level\":\"" << isaLevel
        << "\",\"recovery_events\":" << recoveryEvents
-       << ",\"faults_injected\":" << faultsInjected
        << ",\"route\":\"" << toString(route)
        << "\",\"queue_wait_seconds\":" << queueWaitSeconds
        << ",\"setup_seconds\":" << setupSeconds

@@ -6,7 +6,7 @@
  * Unlike the registry (process-wide monotonic aggregates) and trace
  * spans (timeline), SolveTelemetry answers "what happened to *this*
  * request": iteration counts, PCG effort, the tail of the residual
- * trajectory, recovery/fault events, which customization route the
+ * trajectory, recovery events, which customization route the
  * service took, and queue-wait vs execute time. It is always
  * populated — the RSQP_TELEMETRY switch only compiles out the timed
  * span instrumentation, not this record.
@@ -81,9 +81,6 @@ struct SolveTelemetry
 
     /** Recovery actions taken (rollbacks, sigma boosts, fallbacks). */
     Count recoveryEvents = 0;
-
-    /** Injected faults observed (fault-injection builds/tests). */
-    Count faultsInjected = 0;
 
     /** Service routing decision (None outside the service layer). */
     SolveRoute route = SolveRoute::None;

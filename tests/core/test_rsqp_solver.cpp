@@ -2,8 +2,9 @@
  * @file
  * End-to-end RsqpSolver tests: solution quality, customization
  * speedup in cycles (the Fig. 10 effect), parametric reuse and warm
- * starting on the generated architecture, and a threaded simulated
- * machine (ArchConfig::numThreads) reproducing the serial one exactly.
+ * starting on the generated architecture, a diverging run ending in a
+ * typed status with finite iterates, and a threaded simulated machine
+ * (ArchConfig::numThreads) reproducing the serial one exactly.
  */
 
 #include <sys/resource.h>
@@ -248,80 +249,24 @@ TEST(RsqpSolver, Fp32DatapathSolvesAtDefaultTolerance)
     EXPECT_LT(test::maxAbsDiff(r32.x, r64.x), 1e-2);
 }
 
-// --- Soft-error fault injection into the simulated accelerator ------
-
-CustomizeSettings
-injectionCustom(std::uint64_t seed, Real rate)
+/**
+ * The device has no watchdog: on an indefinite P that passes
+ * validation its ADMM run overflows. The result is a typed
+ * NumericalError with finite (zero) iterates, never a NaN vector.
+ */
+TEST(RsqpSolver, DivergingRunEndsTypedWithFiniteIterates)
 {
+    const QpProblem qp = test::indefiniteQp(30, 1);
     CustomizeSettings custom;
     custom.c = 16;
-    custom.faultInjection.enabled = true;
-    custom.faultInjection.seed = seed;
-    custom.faultInjection.ratePerWord = rate;
-    return custom;
-}
-
-/**
- * The headline fault-tolerance guarantee: with soft errors injected
- * into the HBM streams and MAC outputs at 1e-4 per word (at least one
- * flip per 10k words), every solve must terminate with a typed status
- * and finite iterates — Solved results must additionally pass host-
- * side residual re-verification (done inside RsqpSolver::solve).
- */
-TEST(RsqpSolverFaults, InjectedRunsTerminateTypedAndFinite)
-{
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        const QpProblem qp = generateProblem(
-            Domain::Portfolio, 40, 100 + static_cast<Index>(seed));
-        RsqpSolver solver(qp, settingsFor(),
-                          injectionCustom(seed, 1e-4));
-        const OsqpResult result = solver.solve();
-        EXPECT_NE(result.info.status, SolveStatus::Unsolved) << seed;
-        EXPECT_FALSE(hasNonFinite(result.x)) << seed;
-        EXPECT_FALSE(hasNonFinite(result.y)) << seed;
-        EXPECT_FALSE(hasNonFinite(result.z)) << seed;
-        EXPECT_GT(result.info.telemetry.faultsInjected, 0) << seed;
-    }
-}
-
-TEST(RsqpSolverFaults, ReSolveReportsItsOwnFaults)
-{
-    // The injector counts over the machine's lifetime; each result
-    // must report only the faults its own solve injected.
-    const QpProblem qp = generateProblem(Domain::Portfolio, 40, 103);
-    RsqpSolver solver(qp, settingsFor(), injectionCustom(3, 1e-4));
-    const FaultInjector* injector = solver.machine().faultInjector();
-    ASSERT_NE(injector, nullptr);
-    solver.solve();
-    for (int k = 0; k < 2; ++k) {
-        const Count before = injector->faultsInjected();
-        const OsqpResult result = solver.solve();
-        const Count after = injector->faultsInjected();
-        EXPECT_GT(after, before) << k;
-        EXPECT_EQ(result.info.telemetry.faultsInjected, after - before)
-            << k;
-    }
-}
-
-TEST(RsqpSolverFaults, InjectionIsDeterministicAcrossNumThreads)
-{
-    const QpProblem qp = generateProblem(Domain::Svm, 30, 55);
-    auto run = [&](Index threads) {
-        CustomizeSettings custom = injectionCustom(11, 5e-4);
-        custom.execution.numThreads = threads;
-        RsqpSolver solver(qp, settingsFor(), custom);
-        return solver.solve();
-    };
-    const OsqpResult serial = run(1);
-    for (Index threads : {2, 8}) {
-        const OsqpResult threaded = run(threads);
-        EXPECT_EQ(threaded.info.status, serial.info.status) << threads;
-        EXPECT_EQ(threaded.info.telemetry.faultsInjected,
-                  serial.info.telemetry.faultsInjected)
-            << threads;
-        ASSERT_EQ(threaded.x, serial.x) << threads;
-        ASSERT_EQ(threaded.y, serial.y) << threads;
-    }
+    RsqpSolver solver(qp, OsqpSettings{}, custom);
+    const OsqpResult result = solver.solve();
+    EXPECT_EQ(result.info.status, SolveStatus::NumericalError);
+    EXPECT_EQ(result.info.iterations, 150);
+    EXPECT_FALSE(hasNonFinite(result.x));
+    EXPECT_FALSE(hasNonFinite(result.y));
+    EXPECT_FALSE(hasNonFinite(result.z));
+    EXPECT_TRUE(std::isfinite(result.info.objective));
 }
 
 TEST(RsqpSolver, WarmStartSizeMismatchIsNonFatal)
@@ -339,28 +284,6 @@ TEST(RsqpSolver, WarmStartSizeMismatchIsNonFatal)
 
     const OsqpResult result = solver.solve();
     EXPECT_EQ(result.info.status, SolveStatus::Solved);
-}
-
-TEST(RsqpSolverFaults, DisabledInjectionMatchesBaselineBitwise)
-{
-    const QpProblem qp = generateProblem(Domain::Portfolio, 35, 61);
-    CustomizeSettings plain;
-    plain.c = 16;
-    RsqpSolver base(qp, settingsFor(), plain);
-    const OsqpResult a = base.solve();
-
-    CustomizeSettings off;
-    off.c = 16;
-    off.faultInjection.enabled = false;
-    off.faultInjection.seed = 99;  // ignored while disabled
-    RsqpSolver guarded(qp, settingsFor(), off);
-    const OsqpResult b = guarded.solve();
-
-    EXPECT_EQ(a.info.status, b.info.status);
-    EXPECT_EQ(a.info.iterations, b.info.iterations);
-    EXPECT_EQ(b.info.telemetry.faultsInjected, 0);
-    ASSERT_EQ(a.x, b.x);
-    ASSERT_EQ(a.y, b.y);
 }
 
 TEST(ThreadedMachine, SolveDeterministicAcrossNumThreads)

@@ -188,7 +188,9 @@ jobDistribution(const ServiceConfig& config,
 
 TEST(Fleet, SameStructureLandsOnOneCore)
 {
-    const QpProblem qp = generateProblem(Domain::Control, 25, 3);
+    // Placement reads only the structure; a small instance keeps the
+    // three Device solves cheap under TSan.
+    const QpProblem qp = generateProblem(Domain::Control, 4, 3);
     std::vector<QpProblem> workload;
     for (int i = 0; i < 3; ++i)
         workload.push_back(withScaledCost(qp, 1.0 + 0.1 * i));

@@ -164,7 +164,8 @@ TEST(ServiceQueue, ConcurrentSessionsAreDeterministic)
     // N sessions race through the service; every session's result
     // stream must be identical to a serial single-session run of the
     // same request sequence — scheduling must not leak into numerics.
-    const QpProblem qp = generateProblem(Domain::Control, 30, 21);
+    // A small instance keeps the 22 Device solves cheap under TSan.
+    const QpProblem qp = generateProblem(Domain::Control, 4, 21);
     const int kSessions = 6;
     const int kRepeats = 3;
 

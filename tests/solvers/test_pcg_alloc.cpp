@@ -155,7 +155,6 @@ TEST(PcgAllocation, IndirectSolverSteadyStateIsAllocationFree)
     PcgSettings settings;
     settings.epsRel = 1e-10;
     settings.adaptiveTolerance = false;
-    settings.directFallback = false;
     IndirectKktSolver solver(p, a, 1e-6, rho, settings);
 
     const Vector rhs_x = randomVector(40, rng);
@@ -184,7 +183,6 @@ TEST(PcgAllocation, UpdateRhoIsAllocationFreeAfterWarmup)
     const CscMatrix p = randomSpdUpper(30, 0.25, rng);
     const CscMatrix a = randomSparse(18, 30, 0.25, rng);
     PcgSettings settings;
-    settings.directFallback = false;
     IndirectKktSolver solver(p, a, 1e-6, constantVector(18, 0.5),
                              settings);
 

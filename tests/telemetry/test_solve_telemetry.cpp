@@ -78,7 +78,7 @@ TEST(SolveTelemetryRecord, JsonCarriesCoreFields)
     EXPECT_EQ(jsonKeys(json),
               "backend restarts iterations kkt_solves "
               "pcg_iterations_total pcg_iters_per_solve isa_level "
-              "recovery_events faults_injected route queue_wait_seconds "
+              "recovery_events route queue_wait_seconds "
               "setup_seconds solve_seconds residual_tail iter prim_res "
               "dual_res ");
 }

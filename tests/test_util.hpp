@@ -15,6 +15,7 @@
 #include "common/random.hpp"
 #include "linalg/csc.hpp"
 #include "linalg/csr.hpp"
+#include "osqp/problem.hpp"
 
 namespace rsqp::test
 {
@@ -74,6 +75,41 @@ randomVector(Index n, Rng& rng)
     for (Real& x : v)
         x = rng.normal();
     return v;
+}
+
+/**
+ * A nonconvex QP that passes validation: P is upper tridiagonal with
+ * 0.1 on its (nonnegative) diagonal and 2 + U(0, 1) above it, so it is
+ * indefinite; q is N(0, 1), A = I, and every even row is boxed to
+ * [-1, 1] while the odd rows are free. PCG breaks down on its KKT
+ * steps and the ADMM and PDHG residuals blow up on it — the real input
+ * that drives the recovery machinery.
+ */
+inline QpProblem
+indefiniteQp(Index n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    TripletList p(n, n);
+    for (Index i = 0; i < n; ++i) {
+        p.add(i, i, 0.1);
+        if (i + 1 < n)
+            p.add(i, i + 1, 2.0 + rng.uniform());
+    }
+    QpProblem qp;
+    qp.pUpper = CscMatrix::fromTriplets(p);
+    qp.q = randomVector(n, rng);
+    TripletList a(n, n);
+    for (Index i = 0; i < n; ++i)
+        a.add(i, i, 1.0);
+    qp.a = CscMatrix::fromTriplets(a);
+    qp.l.assign(static_cast<std::size_t>(n), -kInf);
+    qp.u.assign(static_cast<std::size_t>(n), kInf);
+    for (Index i = 0; i < n; i += 2) {
+        qp.l[static_cast<std::size_t>(i)] = -1.0;
+        qp.u[static_cast<std::size_t>(i)] = 1.0;
+    }
+    qp.name = "indefinite";
+    return qp;
 }
 
 /** EXPECT that two vectors agree within an absolute tolerance. */
