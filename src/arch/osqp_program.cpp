@@ -223,7 +223,7 @@ buildOsqpProgram(Machine& machine, const OsqpMatrixIds& mats,
     asmb.loadConst(sPcgFloorSq, settings.pcg.epsRel * settings.pcg.epsRel);
     asmb.loadConst(sPcgDecaySq,
                    settings.pcg.adaptiveTolerance
-                       ? settings.pcg.epsRelDecay * settings.pcg.epsRelDecay
+                       ? kPcgEpsRelDecay * kPcgEpsRelDecay
                        : 1.0);
     asmb.loadConst(sCInv, scaling.cInv);
     asmb.loadConst(sRhoMin, settings.rhoMin);

@@ -425,7 +425,7 @@ PdhgSolver::solve()
         if (verdict == DivergenceWatchdog::Verdict::Stalled) {
             if (try_recover(iter, "residual stall"))
                 continue;
-        } else {
+        } else if (verdict == DivergenceWatchdog::Verdict::Ok) {
             Vector z_dummy;
             checkpoint.capture(x_, y_, z_dummy, iter);
         }

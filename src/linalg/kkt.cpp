@@ -228,7 +228,6 @@ ReducedKktOperator::buildAMirror()
     aColIdx_.resize(nnz);
     aVals_.resize(nnz);
     aSlotFromCsc_.resize(nnz);
-    aSqCsr_.resize(nnz);
 
     std::vector<Index> cursor(aRowPtr_.begin(), aRowPtr_.end() - 1);
     for (Index c = 0; c < a_->cols(); ++c) {
@@ -238,7 +237,6 @@ ReducedKktOperator::buildAMirror()
             const Index slot = cursor[static_cast<std::size_t>(r)]++;
             aColIdx_[static_cast<std::size_t>(slot)] = c;
             aVals_[static_cast<std::size_t>(slot)] = v;
-            aSqCsr_[static_cast<std::size_t>(slot)] = v * v;
             aSlotFromCsc_[static_cast<std::size_t>(p)] = slot;
         }
     }
@@ -287,10 +285,11 @@ ReducedKktOperator::rebuildDiagonal()
     for (Index r = 0; r < m; ++r) {
         const Real w = rhoVec_[static_cast<std::size_t>(r)];
         for (Index p = aRowPtr_[static_cast<std::size_t>(r)];
-             p < aRowPtr_[static_cast<std::size_t>(r) + 1]; ++p)
+             p < aRowPtr_[static_cast<std::size_t>(r) + 1]; ++p) {
+            const Real v = aVals_[static_cast<std::size_t>(p)];
             diag_[static_cast<std::size_t>(
-                aColIdx_[static_cast<std::size_t>(p)])] +=
-                w * aSqCsr_[static_cast<std::size_t>(p)];
+                aColIdx_[static_cast<std::size_t>(p)])] += w * (v * v);
+        }
     }
 }
 
@@ -438,7 +437,6 @@ ReducedKktOperator::refreshValues()
         const auto slot =
             static_cast<std::size_t>(aSlotFromCsc_[p]);
         aVals_[slot] = v;
-        aSqCsr_[slot] = v * v;
     }
 
     rebuildDiagonalBase();

@@ -119,8 +119,9 @@ inline constexpr Index kKktApplyBlockNnz = Index{1} << 19;
  *
  * Slot maps recorded at construction let refreshValues() re-read
  * updated P/A values in place (same sparsity pattern), and the
- * rho-independent diagonal parts (P_jj + sigma, per-entry A_ij^2) are
- * cached so setRho() recomputes diagonal() in O(nnz(A)).
+ * rho-independent diagonal part P_jj + sigma is cached so setRho()
+ * recomputes diagonal() in O(nnz(A)), squaring A's CSR values on the
+ * fly.
  */
 class ReducedKktOperator
 {
@@ -193,8 +194,6 @@ class ReducedKktOperator
     std::vector<Real> aVals_;
     /// CSR slot of each CSC A entry.
     std::vector<Index> aSlotFromCsc_;
-    /// Per-entry A_ij^2 aligned with the CSR mirror (rho-independent).
-    std::vector<Real> aSqCsr_;
     /// First row of each fused-apply block, plus m (size blocks + 1).
     std::vector<Index> aBlockRow_;
     /// Length-n scatter accumulators of blocks 1.. (empty for one block).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -86,16 +87,20 @@ DivergenceWatchdog::observe(Real prim_res, Real dual_res)
     if (!std::isfinite(score))
         return Verdict::Diverged;
 
+    // The best score starts at +infinity, not at the bound sentinel
+    // kInf (1e30) that a blown-up run passes, so the first finite score
+    // always lands here. It only sets the baseline: a run can be blown
+    // up by its first check, so that iterate is never a checkpoint.
     if (score < bestScore_) {
+        const bool first = std::isinf(bestScore_);
         bestScore_ = score;
         checksSinceImprovement_ = 0;
-        return Verdict::Ok;
+        return first ? Verdict::Baseline : Verdict::Ok;
     }
 
     // The epsilon floor keeps a tiny best score (already at solver
     // tolerance) from flagging every later observation as divergence.
-    if (bestScore_ < kInf &&
-        score > kDivergenceFactor * std::max(bestScore_, Real(1e-12)))
+    if (score > kDivergenceFactor * std::max(bestScore_, Real(1e-12)))
         return Verdict::Diverged;
 
     ++checksSinceImprovement_;
@@ -109,7 +114,7 @@ DivergenceWatchdog::observe(Real prim_res, Real dual_res)
 void
 DivergenceWatchdog::reset()
 {
-    bestScore_ = kInf;
+    bestScore_ = std::numeric_limits<Real>::infinity();
     checksSinceImprovement_ = 0;
 }
 
@@ -117,6 +122,8 @@ const char*
 toString(DivergenceWatchdog::Verdict verdict)
 {
     switch (verdict) {
+    case DivergenceWatchdog::Verdict::Baseline:
+        return "baseline";
     case DivergenceWatchdog::Verdict::Ok:
         return "ok";
     case DivergenceWatchdog::Verdict::Stalled:

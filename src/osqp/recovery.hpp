@@ -19,6 +19,7 @@
 #ifndef RSQP_OSQP_RECOVERY_HPP
 #define RSQP_OSQP_RECOVERY_HPP
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,8 @@ class DivergenceWatchdog
   public:
     enum class Verdict
     {
+        Baseline,  ///< first score since construction or reset():
+                   ///< nothing to judge it by, so no checkpoint
         Ok,        ///< residuals healthy (new checkpoint candidate)
         Stalled,   ///< no progress for kStallChecks checks
         Diverged,  ///< non-finite or blown up vs. the best seen
@@ -129,7 +132,7 @@ class DivergenceWatchdog
     Real bestScore() const { return bestScore_; }
 
   private:
-    Real bestScore_ = kInf;
+    Real bestScore_ = std::numeric_limits<Real>::infinity();
     Index checksSinceImprovement_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 
 #include "common/logging.hpp"
@@ -77,6 +78,7 @@ void
 OsqpSolver::rebuildKktSolver()
 {
     const QpProblem& scaled = qp_.scaled();
+    kktFollowsChecks_ = false;
     switch (settings_.backend) {
       case KktBackend::DirectLdl:
         kkt_ = std::make_unique<DirectKktSolver>(
@@ -208,6 +210,7 @@ OsqpSolver::solve()
     DivergenceWatchdog watchdog;
     IterateCheckpoint checkpoint;
     Index recovery_attempts = 0;
+    std::optional<Real> pcg_tolerance;
 
     Vector rhs_x(static_cast<std::size_t>(n_));
     Vector rhs_z(static_cast<std::size_t>(m_));
@@ -371,9 +374,16 @@ OsqpSolver::solve()
             // to its iteration budget.
             if (try_recover(iter, "residual stall"))
                 continue;
-        } else {
+        } else if (verdict == DivergenceWatchdog::Verdict::Ok) {
             checkpoint.capture(x_, y_, z_, iter);
         }
+        // A backend that has finished a solve stops PCG at a tolerance
+        // tied to the latest check; a fresh one runs its first solve on
+        // the cold schedule, as the device does, and gets the last
+        // check's tolerance at the end (the direct backend ignores it).
+        pcg_tolerance = pcgResidualTolerance(res.primRes, res.dualRes);
+        if (kktFollowsChecks_)
+            kkt_->setTolerance(*pcg_tolerance);
 
         if (check_now) {
             if (res.converged()) {
@@ -406,6 +416,11 @@ OsqpSolver::solve()
         if (adapt_now &&
             adaptRho(res.primRes, res.dualRes, x_u, y_u, z_u))
             ++info.rhoUpdates;
+    }
+
+    if (pcg_tolerance) {
+        kkt_->setTolerance(*pcg_tolerance);
+        kktFollowsChecks_ = true;
     }
 
     // Exit paths that break out between termination checks (time

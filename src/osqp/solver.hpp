@@ -110,6 +110,9 @@ class OsqpSolver final : public QpBackend
     /** Per-constraint rho vector currently in use (scaled space). */
     const Vector& rhoVec() const { return rhoVec_; }
 
+    /** KKT backend currently in use (null when the solver is inert). */
+    const KktSolver* kktSolver() const { return kkt_.get(); }
+
   private:
     void buildRhoVec(Real rho_bar);
     void rebuildKktSolver();
@@ -135,6 +138,11 @@ class OsqpSolver final : public QpBackend
     Vector rhoInvVec_;
 
     std::unique_ptr<KktSolver> kkt_;
+    /**
+     * kkt_ has finished a solve: PCG stops at the tolerance of the
+     * latest residual check instead of the cold schedule.
+     */
+    bool kktFollowsChecks_ = false;
 
     // Scaled-space iterates (persist across solves for warm starting).
     Vector x_, y_, z_;

@@ -1,5 +1,7 @@
 #include "kkt_solver.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "linalg/vector_ops.hpp"
 #include "telemetry/metrics.hpp"
@@ -119,7 +121,7 @@ IndirectKktSolver::IndirectKktSolver(const CscMatrix& p_upper,
                                      PcgSettings pcg_settings)
     : p_(&p_upper), a_(&a), sigma_(sigma), op_(p_upper, a, sigma, rho_vec),
       precond_(op_.diagonal()), pcgSettings_(pcg_settings),
-      rhoVec_(rho_vec)
+      rhoVec_(rho_vec), coldEpsRel_(pcg_settings.epsRelStart)
 {
     warmX_.assign(static_cast<std::size_t>(p_upper.cols()), 0.0);
     pcgWorkspace_.resize(static_cast<std::size_t>(p_upper.cols()));
@@ -159,9 +161,19 @@ IndirectKktSolver::solve(const Vector& rhs_x, const Vector& rhs_z,
     // Warm-start from the previous solution (the iterates converge, so
     // consecutive systems have nearby solutions).
     x_tilde = warmX_;
+    // Until a tolerance is handed in, the cold schedule: solve k stops
+    // at epsRelStart * kPcgEpsRelDecay^k relative. Then the handed
+    // absolute tolerance. Both are floored by epsRel * ||b||.
     PcgSettings effective = pcgSettings_;
-    effective.epsRel = pcgSettings_.effectiveEpsRel(solveCount_++);
-    effective.adaptiveTolerance = false;
+    if (pcgSettings_.adaptiveTolerance) {
+        if (tolerance_) {
+            effective.epsAbs = std::max(pcgSettings_.epsAbs, *tolerance_);
+        } else {
+            effective.epsRel = std::max(coldEpsRel_, pcgSettings_.epsRel);
+            if (coldEpsRel_ > pcgSettings_.epsRel)
+                coldEpsRel_ *= kPcgEpsRelDecay;
+        }
+    }
     const PcgResult pcg = pcgSolve(op_, precond_, reducedRhs_, x_tilde,
                                    effective, pcgWorkspace_);
     lastPcgIters_ = pcg.iterations;

@@ -14,6 +14,7 @@
 #define RSQP_SOLVERS_KKT_SOLVER_HPP
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -64,6 +65,13 @@ class KktSolver
     {
         return false;
     }
+
+    /**
+     * Absolute stopping tolerance for the following solves of an
+     * iterative backend (pcgResidualTolerance of an ADMM residual
+     * check). The direct backend solves exactly and ignores it.
+     */
+    virtual void setTolerance(Real) {}
 
     /** Human-readable backend name for reports. */
     virtual const char* name() const = 0;
@@ -125,8 +133,15 @@ class IndirectKktSolver : public KktSolver
     void updateRho(const Vector& rho_vec) override;
     bool updateMatrixValues(const std::vector<Real>& p_values,
                             const std::vector<Real>& a_values) override;
+    void setTolerance(Real absolute) override { tolerance_ = absolute; }
     const char* name() const override { return "indirect-pcg"; }
     Count totalPcgIterations() const override { return totalPcgIters_; }
+
+    /**
+     * Tolerance handed in last; empty while the backend still runs its
+     * cold schedule (PcgSettings::adaptiveTolerance).
+     */
+    std::optional<Real> tolerance() const { return tolerance_; }
 
     /** Iterations used by the most recent solve. */
     Index lastPcgIterations() const { return lastPcgIters_; }
@@ -155,7 +170,8 @@ class IndirectKktSolver : public KktSolver
     PcgWorkspace pcgWorkspace_;  ///< persistent CG vectors (no realloc)
     Index lastPcgIters_ = 0;
     Count totalPcgIters_ = 0;
-    Count solveCount_ = 0;  ///< drives the adaptive tolerance schedule
+    Real coldEpsRel_;  ///< relative tolerance of the next cold solve
+    std::optional<Real> tolerance_;  ///< handed absolute tolerance
     std::unique_ptr<DirectKktSolver> fallback_;  ///< built on first use
     Count fallbackSolves_ = 0;
 };

@@ -26,6 +26,13 @@ toString(PcgBreakdown breakdown)
     return "unknown";
 }
 
+Real
+pcgResidualTolerance(Real prim_res, Real dual_res)
+{
+    return kPcgResidualFraction *
+        std::min(std::sqrt(prim_res * dual_res), dual_res);
+}
+
 JacobiPreconditioner::JacobiPreconditioner(const Vector& diagonal)
 {
     rebuild(diagonal);

@@ -26,10 +26,10 @@ namespace rsqp
 struct PcgSettings
 {
     /**
-     * Relative residual tolerance: stop when ||r|| < eps * ||b||.
-     * The floor must sit well below the ADMM termination tolerance or
-     * the inexact subproblem solves stall the outer iteration (1e-9
-     * supports eps_abs/eps_rel down to ~1e-6).
+     * Relative residual floor: PCG never has to reach below
+     * ||r|| < eps * ||b||. The floor must sit well below the ADMM
+     * termination tolerance or the inexact subproblem solves stall the
+     * outer iteration (1e-9 supports eps_abs/eps_rel down to ~1e-6).
      */
     Real epsRel = 1e-9;
     /** Absolute floor so a zero rhs terminates immediately. */
@@ -38,25 +38,17 @@ struct PcgSettings
     Index maxIter = 5000;
 
     /**
-     * Adaptive tolerance schedule (cuOSQP-style): early ADMM iterations
-     * tolerate loose PCG solves. Solve k uses
-     *   epsRel_k = max(epsRel, epsRelStart * epsRelDecay^k).
+     * Inexact KKT solves inside ADMM (cuOSQP style): early iterations
+     * tolerate loose PCG solves. A cold run stops its k-th solve at
+     *   max(epsRel, epsRelStart * kPcgEpsRelDecay^k) * ||b||:
+     * every device run, and the first ADMM solve of a host
+     * IndirectKktSolver. After that first solve the host backend stops
+     * at the tolerance the ADMM loop hands it from its residual checks
+     * (pcgResidualTolerance), floored by epsRel * ||b||.
+     * false: every solve stops at epsRel * ||b||.
      */
     bool adaptiveTolerance = true;
     Real epsRelStart = 1e-2;
-    Real epsRelDecay = 0.85;
-
-    /** Effective relative tolerance for the k-th consecutive solve. */
-    Real
-    effectiveEpsRel(Count solve_index) const
-    {
-        if (!adaptiveTolerance)
-            return epsRel;
-        Real eps = epsRelStart;
-        for (Count i = 0; i < solve_index && eps > epsRel; ++i)
-            eps *= epsRelDecay;
-        return eps > epsRel ? eps : epsRel;
-    }
 
     /**
      * Declare stagnation breakdown after this many consecutive
@@ -68,6 +60,25 @@ struct PcgSettings
      */
     Index stagnationWindow = 250;
 };
+
+/** Per-solve decay of the cold relative PCG tolerance (PcgSettings). */
+inline constexpr Real kPcgEpsRelDecay = 0.85;
+
+/**
+ * Fraction lambda of the residual-tied PCG tolerance (Schubiger,
+ * Banjac & Lygeros, cuOSQP): a fixed part of the algorithm, not a knob.
+ */
+inline constexpr Real kPcgResidualFraction = 0.15;
+
+/**
+ * Absolute PCG tolerance lambda * min(sqrt(prim_res * dual_res),
+ * dual_res) from an ADMM residual check (unscaled infinity norms).
+ * The cap at lambda * dual_res keeps the steps tight while the primal
+ * residual stays O(1), as it does on an infeasible problem, where
+ * loose steps keep the dual iterate delta from settling into an
+ * infeasibility certificate.
+ */
+Real pcgResidualTolerance(Real prim_res, Real dual_res);
 
 /** Why a PCG solve gave up before converging. */
 enum class PcgBreakdown

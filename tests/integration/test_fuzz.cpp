@@ -4,7 +4,9 @@
  * densities, bound patterns including equalities, loose rows and
  * one-sided bounds) solved by the direct CPU, indirect CPU and
  * simulated-accelerator backends must agree whenever they report
- * Solved, across random solver settings.
+ * Solved, and the indirect CPU backend must reproduce every
+ * infeasibility certificate of the direct one, across random solver
+ * settings.
  */
 
 #include <gtest/gtest.h>
@@ -95,9 +97,14 @@ TEST_P(BackendFuzz, BackendsAgreeWhenSolved)
     settings.backend = KktBackend::IndirectPcg;
     const OsqpResult ri = OsqpSolver(qp, settings).solve();
 
-    // Feasibility status must agree between backends on clear-cut
-    // outcomes (both certificates are scale-sensitive, so only check
-    // when both terminated with a certificate or both solved).
+    // An infeasibility certificate from the direct backend must be
+    // reproduced by the indirect one.
+    if (rd.info.status == SolveStatus::PrimalInfeasible ||
+        rd.info.status == SolveStatus::DualInfeasible) {
+        EXPECT_EQ(ri.info.status, rd.info.status);
+    }
+
+    // When both solve, the objectives agree.
     if (rd.info.status == SolveStatus::Solved &&
         ri.info.status == SolveStatus::Solved) {
         const Real scale = 1.0 + std::abs(rd.info.objective);

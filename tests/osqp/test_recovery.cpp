@@ -34,10 +34,12 @@ TEST(DivergenceWatchdog, ImprovingResidualsAreOk)
 {
     DivergenceWatchdog watchdog;
     Real res = 1.0;
+    EXPECT_EQ(watchdog.observe(res, res),
+              DivergenceWatchdog::Verdict::Baseline);
     for (int i = 0; i < 50; ++i) {
+        res *= 0.5;
         EXPECT_EQ(watchdog.observe(res, res),
                   DivergenceWatchdog::Verdict::Ok);
-        res *= 0.5;
     }
     EXPECT_LT(watchdog.bestScore(), 1e-10);
 }
@@ -46,7 +48,7 @@ TEST(DivergenceWatchdog, BlowupIsDiverged)
 {
     DivergenceWatchdog watchdog;
     ASSERT_EQ(watchdog.observe(1.0, 1.0),
-              DivergenceWatchdog::Verdict::Ok);
+              DivergenceWatchdog::Verdict::Baseline);
     // 1e9 is past kDivergenceFactor (1e6) times the best score.
     EXPECT_EQ(watchdog.observe(1e9, 1e9),
               DivergenceWatchdog::Verdict::Diverged);
@@ -56,7 +58,7 @@ TEST(DivergenceWatchdog, NonFiniteIsDiverged)
 {
     DivergenceWatchdog watchdog;
     ASSERT_EQ(watchdog.observe(1.0, 1.0),
-              DivergenceWatchdog::Verdict::Ok);
+              DivergenceWatchdog::Verdict::Baseline);
     EXPECT_EQ(watchdog.observe(kNan, 0.5),
               DivergenceWatchdog::Verdict::Diverged);
     EXPECT_EQ(
@@ -68,7 +70,7 @@ TEST(DivergenceWatchdog, StallAfterConfiguredChecks)
 {
     DivergenceWatchdog watchdog;
     ASSERT_EQ(watchdog.observe(1.0, 1.0),
-              DivergenceWatchdog::Verdict::Ok);
+              DivergenceWatchdog::Verdict::Baseline);
     // Flat residuals: no improvement, no blowup.
     DivergenceWatchdog::Verdict verdict =
         DivergenceWatchdog::Verdict::Ok;
@@ -89,12 +91,24 @@ TEST(DivergenceWatchdog, ResetForgetsHistory)
 {
     DivergenceWatchdog watchdog;
     ASSERT_EQ(watchdog.observe(1e-8, 1e-8),
-              DivergenceWatchdog::Verdict::Ok);
+              DivergenceWatchdog::Verdict::Baseline);
     watchdog.reset();
     // 1.0 would be a catastrophic blowup vs. best 1e-8 without reset
     // (factor 1e8 > kDivergenceFactor = 1e6).
     EXPECT_EQ(watchdog.observe(1.0, 1.0),
-              DivergenceWatchdog::Verdict::Ok);
+              DivergenceWatchdog::Verdict::Baseline);
+}
+
+TEST(DivergenceWatchdog, ScoresAboveTheBoundSentinelAreJudged)
+{
+    // kInf (1e30) is the bound sentinel, not a residual ceiling: a run
+    // already past it at its first check is still judged afterwards.
+    DivergenceWatchdog watchdog;
+    ASSERT_EQ(watchdog.observe(2e36, 5e33),
+              DivergenceWatchdog::Verdict::Baseline);
+    EXPECT_EQ(watchdog.bestScore(), 2e36 + 5e33);
+    EXPECT_EQ(watchdog.observe(5e54, 1e52),
+              DivergenceWatchdog::Verdict::Diverged);
 }
 
 // --- IterateCheckpoint ----------------------------------------------
@@ -225,6 +239,37 @@ TEST(Watchdog, DivergenceEndsTypedAfterOneRecovery)
         expectFinite(result);
         EXPECT_EQ(result.info.recovery.checkpointRestores, 1);
         EXPECT_EQ(result.info.recovery.sigmaBoosts, 1);
+    }
+}
+
+/**
+ * indefiniteQp(30, seed) is blown up by its first check (seed 1: 3.9e17
+ * at iteration 25) and passes the 1e30 bound sentinel soon after. The
+ * watchdog judges every later check against the first, and never
+ * vouches for the first as a checkpoint: both ADMM backends end each
+ * solve, fresh or repeated from the last one's iterates, in
+ * NumericalError with finite iterates and a finite objective.
+ */
+TEST(Watchdog, BlownUpFirstCheckEndsTypedWithFiniteObjective)
+{
+    for (const KktBackend backend :
+         {KktBackend::DirectLdl, KktBackend::IndirectPcg}) {
+        for (const std::uint64_t seed : {1, 2}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (backend == KktBackend::DirectLdl ? "ldl"
+                                                              : "pcg")
+                         << " seed " << seed);
+            OsqpSettings settings;
+            settings.backend = backend;
+            OsqpSolver solver(test::indefiniteQp(30, seed), settings);
+            for (int solve = 0; solve < 5; ++solve) {
+                const OsqpResult result = solver.solve();
+                EXPECT_EQ(result.info.status, SolveStatus::NumericalError);
+                expectFinite(result);
+                EXPECT_TRUE(std::isfinite(result.info.objective));
+                EXPECT_EQ(result.info.recovery.checkpointRestores, 1);
+            }
+        }
     }
 }
 

@@ -258,6 +258,83 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(KktBackend::DirectLdl,
                                          KktBackend::IndirectPcg)));
 
+/**
+ * A fresh solver's PCG backend runs its first solve on the cold
+ * schedule and holds no tolerance; at the end of each solve it holds
+ * pcgResidualTolerance of that solve's last check, and an update does
+ * not reset it.
+ */
+TEST(OsqpSolver, PcgToleranceFollowsTheLastCheck)
+{
+    const QpProblem problem = generateProblem(Domain::Lasso, 30, 3);
+    OsqpSolver solver(problem, defaultSettings(KktBackend::IndirectPcg));
+    const auto tolerance = [&solver] {
+        const auto* kkt =
+            dynamic_cast<const IndirectKktSolver*>(solver.kktSolver());
+        EXPECT_NE(kkt, nullptr);
+        return kkt->tolerance();
+    };
+    EXPECT_FALSE(tolerance());
+
+    const OsqpResult first = solver.solve();
+    ASSERT_EQ(first.info.status, SolveStatus::Solved);
+    ASSERT_TRUE(tolerance());
+    EXPECT_EQ(*tolerance(), pcgResidualTolerance(first.info.primRes,
+                                                  first.info.dualRes));
+
+    Vector q = problem.q;
+    for (Real& v : q)
+        v *= 1.01;
+    solver.updateLinearCost(q);
+    EXPECT_EQ(*tolerance(), pcgResidualTolerance(first.info.primRes,
+                                                 first.info.dualRes));
+    const OsqpResult second = solver.solve();
+    ASSERT_EQ(second.info.status, SolveStatus::Solved);
+    EXPECT_EQ(*tolerance(), pcgResidualTolerance(second.info.primRes,
+                                                 second.info.dualRes));
+
+    // The direct backend has no PCG and no tolerance to follow.
+    OsqpSolver direct(problem, defaultSettings(KktBackend::DirectLdl));
+    direct.solve();
+    EXPECT_EQ(dynamic_cast<const IndirectKktSolver*>(direct.kktSolver()),
+              nullptr);
+}
+
+/**
+ * Residual checks steer PCG only after the backend's first solve: two
+ * solvers that differ only in checkInterval take bit-identical first
+ * solves, since no check moves the iterates of a cold solve, and
+ * different second solves, since each then follows its own checks.
+ */
+TEST(OsqpSolver, ChecksSteerPcgOnlyAfterTheFirstSolve)
+{
+    const QpProblem problem = generateProblem(Domain::Lasso, 30, 3);
+    OsqpSettings rare = defaultSettings(KktBackend::IndirectPcg);
+    rare.adaptiveRho = false;
+    rare.maxIter = 25;
+    rare.epsAbs = 1e-12;  // run all 25 iterations
+    rare.epsRel = 1e-12;
+    rare.checkInterval = 25;
+    OsqpSettings often = rare;
+    often.checkInterval = 5;
+    OsqpSolver a(problem, rare);
+    OsqpSolver b(problem, often);
+
+    const OsqpResult a1 = a.solve();
+    const OsqpResult b1 = b.solve();
+    ASSERT_EQ(a1.info.iterations, 25);
+    ASSERT_EQ(b1.info.iterations, 25);
+    EXPECT_EQ(a1.info.pcgIterationsTotal, b1.info.pcgIterationsTotal);
+    EXPECT_EQ(a1.x, b1.x);
+    EXPECT_EQ(a1.y, b1.y);
+
+    const OsqpResult a2 = a.solve();
+    const OsqpResult b2 = b.solve();
+    ASSERT_EQ(a2.info.iterations, 25);
+    ASSERT_EQ(b2.info.iterations, 25);
+    EXPECT_NE(a2.x, b2.x);
+}
+
 /** Backends agree on the optimal objective. */
 class BackendAgreement : public ::testing::TestWithParam<Domain>
 {};

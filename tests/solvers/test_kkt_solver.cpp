@@ -2,7 +2,8 @@
  * @file
  * KKT backend tests: the direct LDL' and indirect PCG backends must
  * agree on the ADMM step solution, honor rho updates, report
- * sensible statistics, and trace the PCG hot-path phases.
+ * sensible statistics, stop PCG at the tolerance the ADMM loop hands
+ * in, and trace the PCG hot-path phases.
  */
 
 #include <algorithm>
@@ -48,10 +49,56 @@ struct KktSolverFixture : public ::testing::Test
         return settings;
     }
 
+    /**
+     * ||b - K x_k|| after k PCG steps from x = 0 on the reduced system
+     * an IndirectKktSolver builds from (rhs_x, rhs_z), run with no
+     * stopping tolerance: the sequence every stopping rule reads.
+     */
+    std::vector<Real>
+    residualSequence(Index steps) const
+    {
+        ReducedKktOperator op(p, a, sigma, rho);
+        const JacobiPreconditioner precond(op.diagonal());
+        Vector b = rhs_x;
+        op.accumulateAtRho(rhs_z, b);
+        PcgSettings none;
+        none.adaptiveTolerance = false;
+        none.epsRel = 0.0;
+        none.epsAbs = 0.0;
+        std::vector<Real> residuals;
+        for (Index k = 0; k <= steps; ++k) {
+            none.maxIter = k;
+            Vector x(b.size(), 0.0);
+            residuals.push_back(
+                pcgSolve(op, precond, b, x, none).residualNorm);
+        }
+        return residuals;
+    }
+
+    /** Reduced rhs norm ||b||. */
+    Real
+    reducedRhsNorm() const
+    {
+        ReducedKktOperator op(p, a, sigma, rho);
+        Vector b = rhs_x;
+        op.accumulateAtRho(rhs_z, b);
+        return norm2(b);
+    }
+
     CscMatrix p, a;
     Vector rho, rhs_x, rhs_z;
     Real sigma = 1e-6;
 };
+
+/** Index of the first residual below tol (the PCG stopping step). */
+Index
+firstBelow(const std::vector<Real>& residuals, Real tol)
+{
+    for (std::size_t k = 0; k < residuals.size(); ++k)
+        if (residuals[k] < tol)
+            return static_cast<Index>(k);
+    return -1;
+}
 
 TEST_F(KktSolverFixture, DirectAndIndirectAgree)
 {
@@ -138,6 +185,108 @@ TEST_F(KktSolverFixture, IndirectReportsPcgIterations)
     Vector x2, z2;
     const KktSolveStats stats2 = indirect.solve(rhs_x, rhs_z, x2, z2);
     EXPECT_LE(stats2.pcgIterations, 1);
+}
+
+TEST_F(KktSolverFixture, IndirectStopsAtTheHandedTolerance)
+{
+    const std::vector<Real> residuals = residualSequence(30);
+    const Real b_norm = reducedRhsNorm();
+
+    // Fresh solver: loose start at epsRelStart * ||b|| = 1e-2 ||b||.
+    IndirectKktSolver fresh(p, a, sigma, rho);
+    EXPECT_FALSE(fresh.tolerance());
+    Vector x, z;
+    const Index loose = firstBelow(residuals, 1e-2 * b_norm);
+    ASSERT_GT(loose, 0);
+    EXPECT_EQ(fresh.solve(rhs_x, rhs_z, x, z).pcgIterations, loose);
+
+    // A handed absolute tolerance replaces it: PCG stops at the first
+    // iterate whose residual is below it, and not one step later.
+    const Real handed = 1e-5 * b_norm;
+    IndirectKktSolver tied(p, a, sigma, rho);
+    tied.setTolerance(handed);
+    ASSERT_EQ(tied.tolerance(), handed);
+    const Index expected = firstBelow(residuals, handed);
+    ASSERT_GT(expected, loose);
+    const KktSolveStats stats = tied.solve(rhs_x, rhs_z, x, z);
+    EXPECT_EQ(stats.pcgIterations, expected);
+    EXPECT_LT(residuals[static_cast<std::size_t>(expected)], handed);
+    EXPECT_GE(residuals[static_cast<std::size_t>(expected) - 1], handed);
+
+    // epsRel * ||b|| stays the floor under a tolerance of zero.
+    IndirectKktSolver floored(p, a, sigma, rho);
+    floored.setTolerance(0.0);
+    const Index floor = firstBelow(residuals, 1e-9 * b_norm);
+    ASSERT_GT(floor, expected);
+    EXPECT_EQ(floored.solve(rhs_x, rhs_z, x, z).pcgIterations, floor);
+}
+
+TEST_F(KktSolverFixture, IndirectRunsTheColdScheduleUntilHanded)
+{
+    // Solve k of a fresh backend stops where plain PCG at
+    // max(epsRel, epsRelStart * kPcgEpsRelDecay^k) * ||b|| stops from
+    // the same warm start, down to the 1e-9 floor; the first handed
+    // tolerance ends the schedule.
+    ReducedKktOperator op(p, a, sigma, rho);
+    const JacobiPreconditioner precond(op.diagonal());
+    IndirectKktSolver kkt(p, a, sigma, rho);
+    PcgSettings reference;
+    reference.adaptiveTolerance = false;
+    Vector warm(rhs_x.size(), 0.0);
+    Vector x, z;
+    Real cold = reference.epsRelStart;
+    const auto step = [&](int k) {
+        // A new right-hand side each step, as ADMM makes them.
+        Vector bx = rhs_x;
+        for (Real& v : bx)
+            v *= 1.0 + 0.05 * k;
+        Vector b = bx;
+        op.accumulateAtRho(rhs_z, b);
+        const Index expected =
+            pcgSolve(op, precond, b, warm, reference).iterations;
+        EXPECT_EQ(kkt.solve(bx, rhs_z, x, z).pcgIterations, expected)
+            << "solve " << k;
+        EXPECT_EQ(x, warm) << "solve " << k;
+    };
+    int k = 0;
+    for (; k < 140; ++k) {
+        reference.epsRel = std::max(cold, Real(1e-9));
+        step(k);
+        cold *= kPcgEpsRelDecay;
+    }
+    EXPECT_LT(cold, 1e-9);
+
+    kkt.setTolerance(1e-3);
+    reference.epsRel = 1e-9;
+    reference.epsAbs = 1e-3;
+    for (; k < 150; ++k)
+        step(k);
+}
+
+TEST_F(KktSolverFixture, FixedToleranceIgnoresTheHandedOne)
+{
+    // adaptiveTolerance = false: every solve stops at epsRel * ||b||.
+    IndirectKktSolver plain(p, a, sigma, rho, tightPcg());
+    IndirectKktSolver handed(p, a, sigma, rho, tightPcg());
+    handed.setTolerance(1.0);
+    Vector x1, z1, x2, z2;
+    EXPECT_EQ(plain.solve(rhs_x, rhs_z, x1, z1).pcgIterations,
+              handed.solve(rhs_x, rhs_z, x2, z2).pcgIterations);
+    EXPECT_EQ(x1, x2);
+}
+
+TEST(PcgResidualTolerance, IsLambdaTimesGeometricMeanCappedByDual)
+{
+    EXPECT_EQ(kPcgResidualFraction, 0.15);
+    // sqrt(prim * dual) when the dual residual is the larger one...
+    EXPECT_DOUBLE_EQ(pcgResidualTolerance(1e-6, 4e-6), 0.15 * 2e-6);
+    EXPECT_DOUBLE_EQ(pcgResidualTolerance(1.0, 9.0), 0.45);
+    // ...and the dual residual itself when the primal one is larger,
+    // as it stays on an infeasible problem.
+    EXPECT_DOUBLE_EQ(pcgResidualTolerance(4e-6, 1e-6), 0.15 * 1e-6);
+    EXPECT_DOUBLE_EQ(pcgResidualTolerance(9.0, 1.0), 0.15);
+    EXPECT_EQ(pcgResidualTolerance(0.0, 1.0), 0.0);
+    EXPECT_EQ(pcgResidualTolerance(1.0, 0.0), 0.0);
 }
 
 TEST_F(KktSolverFixture, OrderingChoiceDoesNotChangeSolution)

@@ -1,8 +1,8 @@
 /**
  * @file
  * PCG (Algorithm 2) tests: exact-in-n-steps behaviour, tolerance
- * semantics, warm starting, preconditioner effect and the adaptive
- * tolerance schedule.
+ * semantics, warm starting, preconditioner effect and thread-count
+ * determinism.
  */
 
 #include <gtest/gtest.h>
@@ -148,23 +148,6 @@ TEST(Pcg, JacobiRejectsNonPositiveDiagonal)
 {
     EXPECT_DEATH(JacobiPreconditioner({1.0, -2.0}),
                  "positive diagonal");
-}
-
-TEST(PcgSettings, AdaptiveToleranceSchedule)
-{
-    PcgSettings settings;
-    settings.epsRel = 1e-7;
-    settings.epsRelStart = 1e-2;
-    settings.epsRelDecay = 0.5;
-    settings.adaptiveTolerance = true;
-    EXPECT_DOUBLE_EQ(settings.effectiveEpsRel(0), 1e-2);
-    EXPECT_DOUBLE_EQ(settings.effectiveEpsRel(1), 5e-3);
-    EXPECT_DOUBLE_EQ(settings.effectiveEpsRel(2), 2.5e-3);
-    // Eventually floors at epsRel.
-    EXPECT_DOUBLE_EQ(settings.effectiveEpsRel(100), 1e-7);
-
-    settings.adaptiveTolerance = false;
-    EXPECT_DOUBLE_EQ(settings.effectiveEpsRel(0), 1e-7);
 }
 
 TEST(ThreadedPcg, SolveBitwiseIdenticalAcrossThreadCounts)
