@@ -12,8 +12,10 @@
  *   parametric  repeat solve in the same session with a new q
  *               (no setup at all)
  *
- * plus a multi-session burst that exercises the admission queue. The
- * JSON output is the CI perf-smoke artifact.
+ * and the exact ADMM and PCG iteration counts of the cold and the
+ * parametric solve (from SessionResult::telemetry), plus a
+ * multi-session burst that exercises the admission queue. The JSON
+ * output is the CI perf-smoke artifact.
  *
  * Flags:
  *   --quick       fewer/smaller problems (CI smoke)
@@ -85,6 +87,10 @@ struct Row
     double warmSetupSeconds = 0.0;
     double parametricSeconds = 0.0;
     double setupSpeedup = 0.0;
+    Index coldAdmmIterations = 0;
+    Count coldPcgIterations = 0;
+    Index parametricAdmmIterations = 0;
+    Count parametricPcgIterations = 0;
     std::string coldStatus;
     bool warmCacheHit = false;
     bool warmBitwiseEqual = false;
@@ -141,6 +147,8 @@ main(int argc, char** argv)
         const SessionResult cold = service.solve(first, qp);
         row.coldSetupSeconds = cold.setupSeconds;
         row.coldStatus = statusToString(cold.status);
+        row.coldAdmmIterations = cold.telemetry.iterations;
+        row.coldPcgIterations = cold.telemetry.pcgIterationsTotal;
 
         // Warm: a brand-new session, structurally identical problem
         // with different values — must hit the cache and reproduce a
@@ -167,6 +175,8 @@ main(int argc, char** argv)
             service.solve(first, perturbValues(qp));
         row.parametricSeconds =
             repeat.setupSeconds + repeat.solveSeconds;
+        row.parametricAdmmIterations = repeat.telemetry.iterations;
+        row.parametricPcgIterations = repeat.telemetry.pcgIterationsTotal;
 
         service.closeSession(first);
         service.closeSession(second);
@@ -215,6 +225,14 @@ main(int argc, char** argv)
                       << formatFixed(row.setupSpeedup, 3)
                       << ", \"parametric_solve_seconds\": "
                       << formatFixed(row.parametricSeconds, 6)
+                      << ", \"cold_admm_iterations\": "
+                      << row.coldAdmmIterations
+                      << ", \"cold_pcg_iterations\": "
+                      << row.coldPcgIterations
+                      << ", \"parametric_admm_iterations\": "
+                      << row.parametricAdmmIterations
+                      << ", \"parametric_pcg_iterations\": "
+                      << row.parametricPcgIterations
                       << ", \"cold_status\": \""
                       << bench::jsonEscape(row.coldStatus)
                       << "\", \"warm_cache_hit\": "
@@ -253,13 +271,18 @@ main(int argc, char** argv)
 
     std::cout << "# service layer: cold vs cached vs parametric\n";
     TextTable table({"problem", "nnz", "cold_setup_s", "warm_setup_s",
-                     "speedup", "parametric_s", "hit", "bitwise"});
+                     "speedup", "parametric_s", "cold_admm", "cold_pcg",
+                     "param_admm", "param_pcg", "hit", "bitwise"});
     for (const Row& row : rows)
         table.addRow({row.name, std::to_string(row.nnz),
                       formatFixed(row.coldSetupSeconds, 6),
                       formatFixed(row.warmSetupSeconds, 6),
                       formatFixed(row.setupSpeedup, 2),
                       formatFixed(row.parametricSeconds, 6),
+                      std::to_string(row.coldAdmmIterations),
+                      std::to_string(row.coldPcgIterations),
+                      std::to_string(row.parametricAdmmIterations),
+                      std::to_string(row.parametricPcgIterations),
                       row.warmCacheHit ? "yes" : "NO",
                       row.warmBitwiseEqual ? "yes" : "NO"});
     table.print(std::cout);

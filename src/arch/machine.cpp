@@ -143,6 +143,16 @@ Machine::setHbmVector(Index id, Vector data)
     hbm_[static_cast<std::size_t>(id)] = std::move(data);
 }
 
+void
+Machine::zeroVector(Index vec_id)
+{
+    RSQP_ASSERT(vec_id >= 0 &&
+                vec_id < static_cast<Index>(vectors_.size()),
+                "bad vector id");
+    Vector& v = vectors_[static_cast<std::size_t>(vec_id)];
+    std::fill(v.begin(), v.end(), 0.0);
+}
+
 const Vector&
 Machine::vectorValue(Index vec_id) const
 {

@@ -45,7 +45,8 @@ class Machine
 
     // --- Host-side resource setup -------------------------------------
 
-    /** Allocate a vector buffer of fixed length; returns its id. */
+    /** Allocate a zero-filled vector buffer of fixed length; returns
+     *  its id. */
     Index addVector(Index length, const std::string& name = "");
 
     /**
@@ -67,6 +68,13 @@ class Machine
 
     /** Overwrite an HBM region (new problem parameters). */
     void setHbmVector(Index id, Vector data);
+
+    /**
+     * Zero a vector buffer from the host between runs. Like
+     * setHbmVector it costs no modeled cycles; buffers otherwise keep
+     * their contents from one run() to the next.
+     */
+    void zeroVector(Index vec_id);
 
     /** Number of scalar registers available. */
     static constexpr Index kNumScalars = 96;

@@ -265,7 +265,6 @@ buildOsqpProgram(Machine& machine, const OsqpMatrixIds& mats,
     asmb.loadVec(vX, handles.hbmX0, "warm start x");
     asmb.loadVec(vY, handles.hbmY0, "warm start y");
     asmb.loadVec(vZ, handles.hbmZ0, "warm start z");
-    asmb.vecSetConst(vXt, 0.0, "PCG warm start");
     asmb.vecSetConst(vRhoMinV, settings.rhoMin);
     asmb.vecSetConst(vRhoMaxV, settings.rhoMax);
 
@@ -306,7 +305,8 @@ buildOsqpProgram(Machine& machine, const OsqpMatrixIds& mats,
     asmb.scalarMul(sThr, sPcgRelSq, sBb);
     asmb.scalarMax(sThr, sThr, sPcgAbsSq, "thr");
 
-    // r = K x_tilde - b (warm start).
+    // r = K x_tilde - b, warm-started from the last x_tilde (kept
+    // across runs, as the host's IndirectKktSolver keeps it).
     apply_k(vXt, vKp);
     asmb.vecAxpby(vR, sOne, vKp, sNegOne, vB, "r0 = K x~ - b");
     asmb.vecDot(sRr, vR, vR, "r.r");
@@ -449,6 +449,7 @@ buildOsqpProgram(Machine& machine, const OsqpMatrixIds& mats,
     asmb.halt("end of OSQP program");
 
     handles.program = asmb.finish();
+    handles.vecXTilde = vXt;
     handles.sIterations = sIter;
     handles.sStatus = sStatus;
     handles.sPrimRes = sPrimRes;

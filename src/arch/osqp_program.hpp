@@ -13,7 +13,11 @@
  *
  * The numeric trajectory matches the host-side OsqpSolver with the
  * IndirectPcg backend (same operations in the same order), which is the
- * basis of the simulator-vs-reference integration tests.
+ * basis of the simulator-vs-reference integration tests. Like the
+ * host's IndirectKktSolver, the program keeps PCG's warm start x~ in
+ * its vector buffer from one run to the next: a fresh machine's first
+ * run starts from zero, and a later run starts from the last x~ unless
+ * the host zeroes it (OsqpDeviceProgram::vecXTilde).
  */
 
 #ifndef RSQP_ARCH_OSQP_PROGRAM_HPP
@@ -56,6 +60,10 @@ struct OsqpDeviceProgram
     Index hbmXOut = -1;
     Index hbmYOut = -1;
     Index hbmZOut = -1;
+
+    /** PCG warm start x~: kept across runs; the host zeroes it with
+     *  Machine::zeroVector after a run that did not solve. */
+    Index vecXTilde = -1;
 
     // Scalar registers with run statistics.
     Index sIterations = -1;  ///< ADMM iterations executed

@@ -561,6 +561,10 @@ PdhgSolver::solve()
     original.a.spmv(x_u, ax_u);
     ewClamp(ax_u, original.l, original.u, z_u);
     result.z = z_u;
+    // Every NumericalError end rolled the iterates back, so its
+    // residuals come from what is returned.
+    if (info.status == SolveStatus::NumericalError)
+        reportReturnedResiduals(original, settings_, result);
     info.objective = original.objective(result.x);
 
     info.solveTime = solve_timer.seconds();

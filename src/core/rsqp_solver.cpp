@@ -215,6 +215,12 @@ RsqpSolver::solve()
         info.dualRes = kInf;
         info.status = SolveStatus::NumericalError;
     }
+    // x~ stays in its buffer as the next run's PCG warm start, as the
+    // host keeps it, but only a solved run hands it on. The program
+    // reads NaN residuals as converged (NaN comparisons are false) and
+    // has no watchdog, so any other end may leave it poisoned.
+    if (info.status != SolveStatus::Solved)
+        machine_->zeroVector(prog_.vecXTilde);
 
     info.objective = original.objective(result.x);
     info.solveTime = solve_timer.seconds();

@@ -11,7 +11,8 @@
  * and converts the cycle count into modeled device time through the
  * fmax model; the host wall clock of the run is timed separately.
  * Parametric re-solves (new q / bounds / warm starts) reuse the
- * generated architecture — the amortization story of the paper.
+ * generated architecture — the amortization story of the paper — and
+ * start PCG from the previous run's x~, as the host does.
  */
 
 #ifndef RSQP_CORE_RSQP_SOLVER_HPP
@@ -71,7 +72,11 @@ class RsqpSolver final : public QpBackend
                CustomizeSettings custom,
                std::shared_ptr<const CustomizationArtifact> artifact);
 
-    /** Run the accelerator program and return the solution. */
+    /**
+     * Run the accelerator program and return the solution. PCG starts
+     * from the last run's x~ when that run ended Solved, from zero
+     * otherwise (and on the first run).
+     */
     OsqpResult solve() override;
 
     /**

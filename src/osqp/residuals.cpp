@@ -36,6 +36,23 @@ computeResiduals(const QpProblem& problem, const Vector& x,
     return info;
 }
 
+void
+reportReturnedResiduals(const QpProblem& problem,
+                        const OsqpSettings& settings, OsqpResult& result)
+{
+    OsqpInfo& info = result.info;
+    const ResidualInfo res =
+        computeResiduals(problem, result.x, result.y, result.z,
+                         settings.epsAbs, settings.epsRel);
+    info.primRes = res.primRes;
+    info.dualRes = res.dualRes;
+    std::vector<ResidualSample>& tail = info.telemetry.residualTail;
+    if (!tail.empty() && tail.back().iteration == info.iterations)
+        tail.pop_back();
+    info.telemetry.pushResidual(info.iterations, res.primRes,
+                                res.dualRes);
+}
+
 bool
 checkPrimalInfeasibility(const QpProblem& problem, const Vector& delta_y,
                          Real eps_prim_inf)

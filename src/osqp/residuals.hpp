@@ -10,6 +10,7 @@
 
 #include "osqp/problem.hpp"
 #include "osqp/settings.hpp"
+#include "osqp/status.hpp"
 
 namespace rsqp
 {
@@ -33,6 +34,17 @@ struct ResidualInfo
 ResidualInfo computeResiduals(const QpProblem& problem, const Vector& x,
                               const Vector& y, const Vector& z,
                               Real eps_abs, Real eps_rel);
+
+/**
+ * Make info.primRes/dualRes and the last residual sample describe the
+ * returned (result.x, result.y, result.z). A run that ends
+ * NumericalError hands back rolled-back iterates, so its last check
+ * describes iterates it discarded: that check's sample, when taken at
+ * info.iterations, is replaced, otherwise one is appended there.
+ */
+void reportReturnedResiduals(const QpProblem& problem,
+                             const OsqpSettings& settings,
+                             OsqpResult& result);
 
 /**
  * OSQP's primal infeasibility certificate on the unscaled problem: the

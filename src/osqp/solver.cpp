@@ -432,8 +432,11 @@ OsqpSolver::solve()
             info.status = SolveStatus::NumericalError;
     }
 
-    // Final unscaled solution.
+    // Final unscaled solution. Every NumericalError end rolled the
+    // iterates back, so its residuals come from what is returned.
     qp_.unscale(x_, y_, z_, result.x, result.y, result.z);
+    if (info.status == SolveStatus::NumericalError)
+        reportReturnedResiduals(original, settings_, result);
     info.objective = original.objective(result.x);
 
     if (settings_.polish && info.status == SolveStatus::Solved)

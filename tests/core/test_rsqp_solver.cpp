@@ -2,9 +2,11 @@
  * @file
  * End-to-end RsqpSolver tests: solution quality, customization
  * speedup in cycles (the Fig. 10 effect), parametric reuse and warm
- * starting on the generated architecture, a diverging run ending in a
- * typed status with finite iterates, and a threaded simulated machine
- * (ArchConfig::numThreads) reproducing the serial one exactly.
+ * starting on the generated architecture, PCG's warm start x~ kept
+ * across runs (and cleared after a run that did not solve), a
+ * diverging run ending in a typed status with finite iterates, and a
+ * threaded simulated machine (ArchConfig::numThreads) reproducing the
+ * serial one exactly.
  */
 
 #include <sys/resource.h>
@@ -267,6 +269,124 @@ TEST(RsqpSolver, DivergingRunEndsTypedWithFiniteIterates)
     EXPECT_FALSE(hasNonFinite(result.y));
     EXPECT_FALSE(hasNonFinite(result.z));
     EXPECT_TRUE(std::isfinite(result.info.objective));
+}
+
+/**
+ * PCG's x~ stays in the machine between runs, as the host's
+ * IndirectKktSolver keeps it: after a small value step a live solver
+ * re-solves with fewer PCG iterations than a fresh one given the same
+ * warm start, whose x~ starts from zero.
+ */
+TEST(RsqpSolver, ResolveStartsPcgFromLastIterate)
+{
+    const ProblemSpec spec = benchmarkSuite(1).front();
+    ASSERT_EQ(spec.name, "control_00");
+    const QpProblem qp = spec.generate();
+    CustomizeSettings custom;
+    custom.c = 16;
+    RsqpSolver live(qp, OsqpSettings{}, custom);
+    const OsqpResult first = live.solve();
+    ASSERT_EQ(first.info.status, SolveStatus::Solved);
+
+    Vector q = qp.q;
+    for (Real& v : q)
+        v *= 1.0 + 1e-2;
+    live.updateLinearCost(q);
+    live.warmStart(first.x, first.y);
+    const OsqpResult resolved = live.solve();
+
+    QpProblem stepped = qp;
+    stepped.q = q;
+    RsqpSolver fresh(stepped, OsqpSettings{}, custom);
+    fresh.warmStart(first.x, first.y);
+    const OsqpResult from_zero = fresh.solve();
+
+    ASSERT_EQ(resolved.info.status, SolveStatus::Solved);
+    ASSERT_EQ(from_zero.info.status, SolveStatus::Solved);
+    EXPECT_LT(resolved.info.pcgIterationsTotal,
+              from_zero.info.pcgIterationsTotal);
+    EXPECT_NEAR(resolved.info.objective, from_zero.info.objective,
+                1e-2 * (1.0 + std::abs(from_zero.info.objective)));
+}
+
+/**
+ * A run that does not end Solved zeroes x~ (the program reads NaN
+ * residuals as converged, so a kept NaN x~ would poison every later
+ * run): the diverging input of DivergingRunEndsTypedWithFiniteIterates
+ * solved twice on one solver returns the same bits both times.
+ */
+TEST(RsqpSolver, FailedRunClearsPcgWarmStart)
+{
+    const QpProblem qp = test::indefiniteQp(30, 1);
+    CustomizeSettings custom;
+    custom.c = 16;
+    RsqpSolver solver(qp, OsqpSettings{}, custom);
+    const OsqpResult first = solver.solve();
+    const OsqpResult second = solver.solve();
+    ASSERT_EQ(first.info.status, SolveStatus::NumericalError);
+    EXPECT_EQ(first.info.iterations, 150);
+    EXPECT_EQ(second.info.status, first.info.status);
+    EXPECT_EQ(second.info.iterations, first.info.iterations);
+    EXPECT_EQ(second.info.pcgIterationsTotal,
+              first.info.pcgIterationsTotal);
+    EXPECT_EQ(second.machineStats.totalCycles,
+              first.machineStats.totalCycles);
+    EXPECT_EQ(second.x, first.x);
+    EXPECT_EQ(second.y, first.y);
+    EXPECT_EQ(second.z, first.z);
+}
+
+/**
+ * The kept x~ is the only state a run hands to the next, so two
+ * solvers fed the same updates, warm starts and solves stay
+ * bit-identical run for run.
+ */
+TEST(RsqpSolver, SameRequestSequenceIsBitIdentical)
+{
+    const QpProblem qp = generateProblem(Domain::Portfolio, 30, 9);
+    Vector q = qp.q;
+    for (Real& v : q)
+        v *= 0.97;
+    Vector u = qp.u;
+    for (Real& v : u)
+        if (v < kInf)
+            v += 0.05;
+    std::vector<Real> p_values = qp.pUpper.values();
+    for (Real& v : p_values)
+        v *= 1.1;
+
+    const auto run_sequence = [&]() {
+        CustomizeSettings custom;
+        custom.c = 16;
+        RsqpSolver solver(qp, settingsFor(), custom);
+        std::vector<OsqpResult> out;
+        out.push_back(solver.solve());
+        solver.updateLinearCost(q);
+        solver.warmStart(out.back().x, out.back().y);
+        out.push_back(solver.solve());
+        solver.updateBounds(qp.l, u);
+        out.push_back(solver.solve());
+        solver.updateMatrixValues(p_values, {});
+        solver.warmStart(out.back().x, out.back().y);
+        out.push_back(solver.solve());
+        out.push_back(solver.solve());
+        return out;
+    };
+    const std::vector<OsqpResult> a = run_sequence();
+    const std::vector<OsqpResult> b = run_sequence();
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "run " << k);
+        EXPECT_EQ(a[k].info.status, SolveStatus::Solved);
+        EXPECT_EQ(b[k].info.status, a[k].info.status);
+        EXPECT_EQ(b[k].info.iterations, a[k].info.iterations);
+        EXPECT_EQ(b[k].info.pcgIterationsTotal,
+                  a[k].info.pcgIterationsTotal);
+        EXPECT_EQ(b[k].machineStats.totalCycles,
+                  a[k].machineStats.totalCycles);
+        EXPECT_EQ(b[k].x, a[k].x);
+        EXPECT_EQ(b[k].y, a[k].y);
+        EXPECT_EQ(b[k].z, a[k].z);
+    }
 }
 
 TEST(RsqpSolver, WarmStartSizeMismatchIsNonFatal)

@@ -6,7 +6,7 @@
  * that passes validation (test::indefiniteQp). There PCG breaks down
  * and the LDL' fallback solves the step, and ADMM and PDHG diverge,
  * roll back once and end in a typed NumericalError with finite
- * iterates.
+ * iterates, reporting the residuals of the iterates they return.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "backends/qp_backend.hpp"
 #include "linalg/vector_ops.hpp"
 #include "osqp/recovery.hpp"
+#include "osqp/residuals.hpp"
 #include "osqp/solver.hpp"
 #include "problems/suite.hpp"
 #include "tests/test_util.hpp"
@@ -211,6 +212,19 @@ TEST(PcgFallback, IndefiniteStepsAreSolvedByLdl)
     EXPECT_EQ(b.z, a.z);
 }
 
+/** The three host engines the recovery paths run on. */
+struct Engine
+{
+    const char* name;
+    KktBackend backend;
+    BackendKind kind;
+};
+constexpr Engine kHostEngines[] = {
+    {"admm-ldl", KktBackend::DirectLdl, BackendKind::Admm},
+    {"admm-pcg", KktBackend::IndirectPcg, BackendKind::Admm},
+    {"pdhg", KktBackend::DirectLdl, BackendKind::Pdhg},
+};
+
 /**
  * On a larger indefinite P the residuals blow up on every host engine:
  * the watchdog rolls back to the last-good checkpoint once, boosts
@@ -220,16 +234,7 @@ TEST(PcgFallback, IndefiniteStepsAreSolvedByLdl)
 TEST(Watchdog, DivergenceEndsTypedAfterOneRecovery)
 {
     const QpProblem qp = test::indefiniteQp(10, 2);
-    struct Engine
-    {
-        const char* name;
-        KktBackend backend;
-        BackendKind kind;
-    };
-    for (const Engine& engine :
-         {Engine{"admm-ldl", KktBackend::DirectLdl, BackendKind::Admm},
-          Engine{"admm-pcg", KktBackend::IndirectPcg, BackendKind::Admm},
-          Engine{"pdhg", KktBackend::DirectLdl, BackendKind::Pdhg}}) {
+    for (const Engine& engine : kHostEngines) {
         SCOPED_TRACE(engine.name);
         OsqpSettings settings;
         settings.backend = engine.backend;
@@ -269,6 +274,39 @@ TEST(Watchdog, BlownUpFirstCheckEndsTypedWithFiniteObjective)
                 EXPECT_TRUE(std::isfinite(result.info.objective));
                 EXPECT_EQ(result.info.recovery.checkpointRestores, 1);
             }
+        }
+    }
+}
+
+/**
+ * A NumericalError end hands back rolled-back iterates, and its
+ * residuals (info and the last tail sample) are those of what it
+ * returns, not of the check that diverged (2.99e37 on
+ * indefiniteQp(30, 1) before).
+ */
+TEST(Watchdog, NumericalErrorReportsResidualsOfReturnedIterates)
+{
+    for (const QpProblem& qp :
+         {test::indefiniteQp(10, 2), test::indefiniteQp(30, 1)}) {
+        for (const Engine& engine : kHostEngines) {
+            SCOPED_TRACE(::testing::Message()
+                         << engine.name << " n " << qp.numVariables());
+            OsqpSettings settings;
+            settings.backend = engine.backend;
+            settings.firstOrder.method = engine.kind;
+            const OsqpResult result = makeBackend(qp, settings)->solve();
+            ASSERT_EQ(result.info.status, SolveStatus::NumericalError);
+            const ResidualInfo returned =
+                computeResiduals(qp, result.x, result.y, result.z,
+                                 settings.epsAbs, settings.epsRel);
+            EXPECT_TRUE(std::isfinite(returned.primRes));
+            EXPECT_EQ(result.info.primRes, returned.primRes);
+            EXPECT_EQ(result.info.dualRes, returned.dualRes);
+            const auto& tail = result.info.telemetry.residualTail;
+            ASSERT_FALSE(tail.empty());
+            EXPECT_EQ(tail.back().iteration, result.info.iterations);
+            EXPECT_EQ(tail.back().primalResidual, returned.primRes);
+            EXPECT_EQ(tail.back().dualResidual, returned.dualRes);
         }
     }
 }
